@@ -32,10 +32,8 @@ from .engine import (
     Metrics,
     RunResult,
     SimLog,
-    StepSignals,
     compute_rmse,
     read_trace,
-    rig_base,
     rk4_step,
     run_scenario,
     write_summary,
@@ -49,7 +47,7 @@ from .errors import (
     SimulationError,
 )
 from .filters import command_filter_derivative, first_order_filter_derivative
-from .observers import do_derivative, do_estimate, hgo_derivative, hgo_error_matrix_is_hurwitz
+from .observers import do_derivative, do_estimate, hgo_derivative
 from .position import (
     AttitudeSetpoint,
     acceleration_from_attitude,
@@ -70,14 +68,11 @@ from .scenario import (
 )
 from .vehicle import (
     ControlInputs,
-    DisturbanceVector,
     MixResult,
     QuadrotorParams,
     RotorSpeeds,
-    ZERO_DISTURBANCE,
     mix_inputs_to_rotor_speeds,
     residual_speed,
-    rotor_forces_torques,
     rotor_speeds_to_inputs,
     state_derivative,
     virtual_from_angles,

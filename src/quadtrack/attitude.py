@@ -20,7 +20,7 @@ class ChannelGains:
 
     p and k are the surface and backstepping gains; the damping argument
     behind the design wants both above 1/2, but the stock position gains
-    ship with p = 0.1, so that margin is reported, not enforced.
+    ship with p = 0.1, so that margin is not enforced.
     """
 
     p: float               # surface gain on the tracking error [1/s]
@@ -49,11 +49,6 @@ class ChannelGains:
             value = getattr(self, name)
             if not (ok and math.isfinite(value)):
                 raise ValueError(f"ChannelGains.{name} out of range: {value}")
-
-    @property
-    def lyapunov_margin_ok(self) -> bool:
-        """True when p and k both clear the 1/2 damping margin."""
-        return self.p > 0.5 and self.k > 0.5
 
 
 def auxiliary_control(p: float, xi1: float, z2: float) -> float:

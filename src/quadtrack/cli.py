@@ -146,14 +146,12 @@ def _sweep_command(args) -> int:
     index = []
     status = EXIT_OK
     for (sc_dict, out_dir), summary in zip(jobs, summaries):
-        entry = {
-            "value": sc_dict,
+        index.append({
+            "value": _dig(sc_dict, keys),
             "out": out_dir,
             "completed": summary["completed"],
             "tracking_rmse": summary["tracking_rmse"],
-        }
-        entry["value"] = _dig(sc_dict, keys)
-        index.append(entry)
+        })
         marker = "ok" if summary["completed"] else "ABORTED"
         print(f"{out_dir}: {marker}")
         if not summary["completed"]:

@@ -1,34 +1,35 @@
 """Closed-loop assembly, fixed-step integration, metrics, and trace output.
 
-One derivative evaluation walks the cascade in this order:
+All six channels (roll, pitch, yaw, x, y, z) run one law on one rig of
+[z1, z2, sigma, xhat1, xhat2, gamma].  Channel i is measured at plant
+index 2*i and its rate at 2*i + 1.  One derivative evaluation walks the
+cascade in this order:
 
     1. reference trajectory at t
-    2. position command filters
-    3. position observers read measured positions and current estimates
-    4. position errors -> virtual accelerations (minus disturbance estimates)
-    5. thrust magnitude + desired roll/pitch extraction
-    6. attitude command filters on (phi_des, theta_des, psi_des)
-    7. attitude observers
-    8. attitude torque laws
-    9. mixing -> rotor speeds -> residual propeller speed
-   10. plant derivative with the injected disturbances
-   11. filter/observer derivatives assembled into the 48-vector
+    2. front half of the x, y, z rigs: command filter, errors, lag and
+       disturbance estimate
+    3. virtual accelerations (minus the disturbance estimates)
+    4. thrust magnitude + desired roll/pitch extraction
+    5. front half of the roll, pitch, yaw rigs on (phi_des, theta_des, psi_des)
+    6. torque laws and mixing -> rotor speeds -> residual propeller speed
+    7. plant derivative with the injected disturbances
+    8. one pass over the six rigs for the observer derivatives
 
 The torque laws need the residual propeller speed, which depends on the
-rotor speeds mixed from those same torques.  The loop is closed with a fixed
-two-pass evaluation (first pass with zero residual speed, then re-mix); the
-gyroscopic terms are four orders of magnitude below the rest of the law, so
-the fixed point is reached to machine accuracy and the derivative stays a
-pure function of (t, state).
+rotor speeds mixed from those same torques.  When the speed is pinned
+(fixed_residual_speed) one torque-and-mix pass uses it.  Otherwise the loop
+is closed with two passes: the first with zero residual speed, the second
+with the speed the first pass mixed.  The gyroscopic terms are four orders
+of magnitude below the rest of the law, so the fixed point is reached to
+machine accuracy and the derivative stays a pure function of (t, state).
 
-Augmented state layout (48 entries): plant states 0..11, then one rig of
-[z1, z2, sigma, xhat1, xhat2, gamma] per channel in the order roll, pitch,
-yaw, x, y, z.
+Augmented state layout (48 entries): plant states 0..11, then one rig per
+channel in the order roll, pitch, yaw, x, y, z.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
@@ -65,13 +66,8 @@ PLANT_DIM = 12
 RIG_SIZE = 6
 STATE_DIM = PLANT_DIM + RIG_SIZE * len(CHANNELS)
 
-# Offsets inside one rig slice.
-OFF_Z1, OFF_Z2, OFF_SIGMA, OFF_XHAT1, OFF_XHAT2, OFF_GAMMA = range(RIG_SIZE)
-
-
-def rig_base(channel: str) -> int:
-    return PLANT_DIM + RIG_SIZE * CHANNELS.index(channel)
-
+# The other two attitude channels whose rates couple into roll, pitch, yaw.
+_CROSS = ((1, 2), (0, 2), (0, 1))
 
 COLUMNS = (
     ("t",)
@@ -86,44 +82,7 @@ COLUMNS = (
     + ("e_x", "e_y", "e_z", "e_phi", "e_theta", "e_psi")
 )
 
-TRACE_SCHEMA_VERSION = 1
-
-
-class _ChannelWork(NamedTuple):
-    """Per-channel intermediates carried from the error pass to assembly."""
-
-    base: int
-    dz1: float
-    dz2: float
-    dsigma: float
-    xh1: float
-    xh2: float
-    gamma: float
-    fb2: float       # rate used by control and observer (estimate or true)
-    xi1: float
-    xi2: float
-    nu: float
-    sigma: float
-    dhat: float
-    u: float         # virtual control (position) or torque (attitude, filled late)
-
-
-@dataclass(slots=True)
-class StepSignals:
-    """Everything the logger needs from one derivative evaluation."""
-
-    t: float
-    deriv: np.ndarray
-    refs: Tuple[float, ...]          # xr, yr, zr, phi_des, theta_des, psi_des
-    inputs: ControlInputs
-    speeds: Tuple[float, ...]
-    clamped: bool
-    virtuals: Tuple[float, float, float]
-    disturbances: Tuple[float, ...]  # d_phi .. d_z as injected
-    dhat: Tuple[float, ...]          # dhat_phi .. dhat_z
-    errors: Tuple[float, ...]        # e_x, e_y, e_z, e_phi, e_theta, e_psi
-    estimates: Tuple[float, ...]     # xhat1 .. xhat12
-    omega_r: float
+TRACE_SCHEMA_VERSION = 2
 
 
 class ClosedLoop:
@@ -155,9 +114,6 @@ class ClosedLoop:
         )
         self._angle_limit = math.pi / 2.0 - ANGLE_GUARD_MARGIN
 
-    def trajectory(self, t: float):
-        return self._traj(t)
-
     def initial_state(self) -> np.ndarray:
         """Augmented initial condition.
 
@@ -171,178 +127,128 @@ class ClosedLoop:
         a = np.zeros(STATE_DIM)
         a[:PLANT_DIM] = self.scenario.initial_state
         refs0 = self._traj(0.0)
-        measured = (a[0], a[2], a[4], a[6], a[8], a[10])
-        rates = (a[1], a[3], a[5], a[7], a[9], a[11])
-        filter_refs = (a[0], a[2], a[4], refs0[0], refs0[1], refs0[2])
-        for i in range(6):
+        for i in range(len(CHANNELS)):
             base = PLANT_DIM + RIG_SIZE * i
-            p = self._gains[i][0]
-            lam = self._gains[i][8]
-            fb2 = rates[i] if self._tsf else 0.0
-            xi1 = measured[i] - filter_refs[i]
-            nu = auxiliary_control(p, xi1, 0.0)
-            a[base + OFF_Z1] = filter_refs[i]
-            a[base + OFF_SIGMA] = nu          # lag filter starts at its input
-            a[base + OFF_XHAT1] = measured[i]
-            a[base + OFF_GAMMA] = -lam * fb2  # zero initial disturbance estimate
+            p, lam = self._gains[i][0], self._gains[i][8]
+            measured = a[2 * i]
+            ref = measured if i < 3 else refs0[i - 3]
+            nu = auxiliary_control(p, measured - ref, 0.0)
+            fb2 = a[2 * i + 1] if self._tsf else 0.0
+            # The lag filter starts at its input, gamma at a zero estimate.
+            a[base:base + RIG_SIZE] = (ref, 0.0, nu, measured, 0.0, -lam * fb2)
         return a
 
     def derivative(self, t: float, a) -> np.ndarray:
         return self._eval(t, a, collect=False)
 
-    def signals(self, t: float, a) -> StepSignals:
+    def signals(self, t: float, a):
+        """(derivative, log row in COLUMNS order, mixer clamped) at (t, a)."""
         return self._eval(t, a, collect=True)
+
+    def _front(self, i, st, ref):
+        """Front half of rig i tracking ref: command filter, errors, lag, DO estimate.
+
+        Returns ((dz1, dz2, dsigma), xi1, xi2, nu, sigma, dz2, dhat, rate),
+        where rate is what the law and the DO read: the HGO estimate, or the
+        true rate under oracle feedback.
+        """
+        base = PLANT_DIM + RIG_SIZE * i
+        z1, z2, sg, xh1, xh2, gm = st[base:base + RIG_SIZE]
+        p, _, tau, m1, m2, _, _, _, lam = self._gains[i]
+        dz1, dz2 = command_filter_derivative(z1, z2, m1, m2, ref)
+        fb1, fb2 = (st[2 * i], st[2 * i + 1]) if self._tsf else (xh1, xh2)
+        xi1, xi2, _, nu = channel_errors(p, fb1, fb2, z1, z2, sg)
+        dsg = first_order_filter_derivative(sg, nu, tau)
+        return (dz1, dz2, dsg), xi1, xi2, nu, sg, dz2, do_estimate(gm, lam, fb2), fb2
 
     def _eval(self, t, a, collect):
         st = a.tolist() if isinstance(a, np.ndarray) else list(a)
-        x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12 = st[:PLANT_DIM]
-        if abs(x1) >= self._angle_limit or abs(x3) >= self._angle_limit:
-            raise AngleGuardError(t, x1, x3)
+        if abs(st[0]) >= self._angle_limit or abs(st[2]) >= self._angle_limit:
+            raise AngleGuardError(t, st[0], st[2])
 
         params = self.params
-        tsf = self._tsf
-        xr, yr, zr = self._traj(t)
-        psi_des = self._psi_des
+        gains = self._gains
+        xyz = self._traj(t)
+        front = [None] * len(CHANNELS)
+        virtuals = []
+        for i in (3, 4, 5):
+            front[i] = _, xi1, xi2, nu, sg, dz2, dhat, _ = self._front(i, st, xyz[i - 3])
+            virtuals.append(position_virtual_control(
+                gains[i][1], gains[i][2], xi1, xi2, nu, sg, dz2,
+                dhat if self._position_do else 0.0))
+        phi_des, theta_des, psi_des, up = extract_thrust_and_attitude(
+            params, *virtuals, self._psi_des)
+        angles = (phi_des, theta_des, psi_des)
+        for i in (0, 1, 2):
+            front[i] = self._front(i, st, angles[i])
 
-        # Position loop: filters, errors, virtual accelerations.
-        pos_meas = (x7, x9, x11)
-        pos_rate = (x8, x10, x12)
-        pos_refs = (xr, yr, zr)
-        pos = []
-        for i in range(3):
-            base = PLANT_DIM + RIG_SIZE * (3 + i)
-            z1, z2, sg, xh1, xh2, gm = st[base:base + RIG_SIZE]
-            p, k, tau, m1, m2, _, _, _, lam = self._gains[3 + i]
-            dz1, dz2 = command_filter_derivative(z1, z2, m1, m2, pos_refs[i])
-            fb1, fb2 = (pos_meas[i], pos_rate[i]) if tsf else (xh1, xh2)
-            xi1, xi2, _, nu = channel_errors(p, fb1, fb2, z1, z2, sg)
-            dsg = first_order_filter_derivative(sg, nu, tau)
-            dhat = do_estimate(gm, lam, fb2)
-            u_ax = position_virtual_control(
-                k, tau, xi1, xi2, nu, sg, dz2, dhat if self._position_do else 0.0
-            )
-            pos.append(_ChannelWork(base, dz1, dz2, dsg, xh1, xh2, gm, fb2,
-                                    xi1, xi2, nu, sg, dhat, u_ax))
-        ux, uy, uz = pos[0].u, pos[1].u, pos[2].u
-
-        # Underactuation resolution.
-        setp = extract_thrust_and_attitude(params, ux, uy, uz, psi_des)
-        phi_des, theta_des, _, up = setp
-
-        # Attitude loop: filters and errors first, torques once the residual
-        # propeller speed is known.
-        att_meas = (x1, x3, x5)
-        att_rate = (x2, x4, x6)
-        att_refs = (phi_des, theta_des, psi_des)
-        att = []
-        for i in range(3):
-            base = PLANT_DIM + RIG_SIZE * i
-            z1, z2, sg, xh1, xh2, gm = st[base:base + RIG_SIZE]
-            p, k, tau, m1, m2, _, _, _, lam = self._gains[i]
-            dz1, dz2 = command_filter_derivative(z1, z2, m1, m2, att_refs[i])
-            fb1, fb2 = (att_meas[i], att_rate[i]) if tsf else (xh1, xh2)
-            xi1, xi2, _, nu = channel_errors(p, fb1, fb2, z1, z2, sg)
-            dsg = first_order_filter_derivative(sg, nu, tau)
-            dhat = do_estimate(gm, lam, fb2)
-            att.append(_ChannelWork(base, dz1, dz2, dsg, xh1, xh2, gm, fb2,
-                                    xi1, xi2, nu, sg, dhat, 0.0))
-
-        fb_rates = (att[0].fb2, att[1].fb2, att[2].fb2)
-        cross = (
-            (fb_rates[1], fb_rates[2]),
-            (fb_rates[0], fb_rates[2]),
-            (fb_rates[0], fb_rates[1]),
-        )
-
-        def torque_set(omega_r):
-            out = []
+        fb_rates = [front[i][7] for i in (0, 1, 2)]
+        fixed = params.fixed_residual_speed
+        omega_r = 0.0 if fixed is None else fixed
+        for _ in range(1 if fixed is not None else 2):
+            torques = []
             for i, axis in enumerate(ATTITUDE_AXES):
-                w = att[i]
-                k, tau = self._gains[i][1], self._gains[i][2]
-                out.append(attitude_torque(
-                    axis, params, k, tau, w.xi1, w.xi2, w.nu, w.sigma,
-                    cross[i][0], cross[i][1], omega_r, w.dz2, w.dhat))
-            return out
-
-        if params.fixed_residual_speed is not None:
-            torques = torque_set(params.fixed_residual_speed)
-            u = ControlInputs(up, torques[0], torques[1], torques[2])
+                _, xi1, xi2, nu, sg, dz2, dhat, _ = front[i]
+                ja, jb = _CROSS[i]
+                torques.append(attitude_torque(
+                    axis, params, gains[i][1], gains[i][2], xi1, xi2, nu, sg,
+                    fb_rates[ja], fb_rates[jb], omega_r, dz2, dhat))
+            u = ControlInputs(up, *torques)
             mix = mix_inputs_to_rotor_speeds(params, u)
-            omega_final = params.fixed_residual_speed
-        else:
-            torques = torque_set(0.0)
-            mix = mix_inputs_to_rotor_speeds(
-                params, ControlInputs(up, torques[0], torques[1], torques[2]))
-            torques = torque_set(residual_speed(params, mix.speeds))
-            u = ControlInputs(up, torques[0], torques[1], torques[2])
-            mix = mix_inputs_to_rotor_speeds(params, u)
-            omega_final = residual_speed(params, mix.speeds)
+            omega_r = residual_speed(params, mix.speeds)
 
-        # Plant with injected disturbances.
         d_now = tuple(g.value(t) for g in self._gens)
-        deriv = np.empty(STATE_DIM)
-        deriv[:PLANT_DIM] = state_derivative(params, st[:PLANT_DIM], u, omega_final, d_now)
+        plant = state_derivative(params, st[:PLANT_DIM], u, omega_r, d_now)
 
-        # Observer and filter derivatives.  High-gain observers always run on
-        # their own estimates so the oracle feedback mode leaves them intact.
-        est_rates = (att[0].xh2, att[1].xh2, att[2].xh2)
-        est_cross = (
-            (est_rates[1], est_rates[2]),
-            (est_rates[0], est_rates[2]),
-            (est_rates[0], est_rates[1]),
-        )
+        # Per channel: (HGO nominal, HGO input term, DO coupling, DO input
+        # gain, DO input).  High-gain observers always run on their own
+        # estimates, so oracle feedback leaves them intact.
+        rig_st = st[PLANT_DIM:]
+        est_rates = [rig_st[RIG_SIZE * i + 4] for i in (0, 1, 2)]
+        drive = []
         for i, axis in enumerate(ATTITUDE_AXES):
-            w = att[i]
-            _, _, _, _, _, b1, b2, eps, lam = self._gains[i]
+            ja, jb = _CROSS[i]
             g1 = self._att_gain[i]
-            f_nom = attitude_coupling(axis, params, est_cross[i][0], est_cross[i][1], omega_final)
-            dxh1, dxh2 = hgo_derivative(w.xh1, w.xh2, b1, b2, eps, att_meas[i],
-                                        f_nom, g1 * torques[i])
-            coupling_fb = attitude_coupling(axis, params, cross[i][0], cross[i][1], omega_final)
-            dgm = do_derivative(w.gamma, lam, w.fb2, coupling_fb, g1, torques[i])
-            deriv[w.base:w.base + RIG_SIZE] = (w.dz1, w.dz2, w.dsigma, dxh1, dxh2, dgm)
-
-        est_angles = (att[0].xh1, att[1].xh1, att[2].xh1)
-        f_pos = acceleration_from_attitude(params, est_angles[0], est_angles[1],
-                                           est_angles[2], up)
+            drive.append((
+                attitude_coupling(axis, params, est_rates[ja], est_rates[jb], omega_r),
+                g1 * torques[i],
+                attitude_coupling(axis, params, fb_rates[ja], fb_rates[jb], omega_r),
+                g1, torques[i]))
+        f_pos = acceleration_from_attitude(params, rig_st[3], rig_st[RIG_SIZE + 3],
+                                           rig_st[2 * RIG_SIZE + 3], up)
         # The translational rows are double integrators in the achieved
         # virtual input (thrust tilted by the actual attitude), so that is
         # what the disturbance observers must consume.  Feeding them the
         # commanded virtual control instead would cancel their damping term,
         # because the command already contains -dhat, and wind them up on the
         # attitude tracking lag.
-        if tsf:
-            f_do = acceleration_from_attitude(params, x1, x3, x5, up)
+        if self._tsf:
+            f_do = acceleration_from_attitude(params, st[0], st[2], st[4], up)
         else:
             f_do = f_pos
-        for i in range(3):
-            w = pos[i]
-            _, _, _, _, _, b1, b2, eps, lam = self._gains[3 + i]
-            dxh1, dxh2 = hgo_derivative(w.xh1, w.xh2, b1, b2, eps, pos_meas[i],
-                                        f_pos[i], 0.0)
-            dgm = do_derivative(w.gamma, lam, w.fb2, 0.0, 1.0, f_do[i])
-            deriv[w.base:w.base + RIG_SIZE] = (w.dz1, w.dz2, w.dsigma, dxh1, dxh2, dgm)
+        drive += [(f_pos[j], 0.0, 0.0, 1.0, f_do[j]) for j in (0, 1, 2)]
 
+        rig_rows = []
+        for i, (nominal, input_term, coupling, gain, u_in) in enumerate(drive):
+            _, _, _, xh1, xh2, gm = rig_st[RIG_SIZE * i:RIG_SIZE * (i + 1)]
+            _, _, _, _, _, b1, b2, eps, lam = gains[i]
+            rig_rows += front[i][0]
+            rig_rows += hgo_derivative(xh1, xh2, b1, b2, eps, st[2 * i], nominal, input_term)
+            rig_rows.append(do_derivative(gm, lam, front[i][7], coupling, gain, u_in))
+        deriv = np.empty(STATE_DIM)
+        deriv[:PLANT_DIM] = plant
+        deriv[PLANT_DIM:] = rig_rows
         if not collect:
             return deriv
-        return StepSignals(
-            t=t,
-            deriv=deriv,
-            refs=(xr, yr, zr, phi_des, theta_des, psi_des),
-            inputs=u,
-            speeds=tuple(mix.speeds),
-            clamped=mix.clamped,
-            virtuals=(ux, uy, uz),
-            disturbances=d_now,
-            dhat=(att[0].dhat, att[1].dhat, att[2].dhat,
-                  pos[0].dhat, pos[1].dhat, pos[2].dhat),
-            errors=(x7 - xr, x9 - yr, x11 - zr,
-                    x1 - phi_des, x3 - theta_des, x5 - psi_des),
-            estimates=(att[0].xh1, att[0].xh2, att[1].xh1, att[1].xh2,
-                       att[2].xh1, att[2].xh2, pos[0].xh1, pos[0].xh2,
-                       pos[1].xh1, pos[1].xh2, pos[2].xh1, pos[2].xh2),
-            omega_r=omega_final,
-        )
+
+        row = [t, *st[:PLANT_DIM]]
+        for i in range(len(CHANNELS)):
+            row += rig_st[RIG_SIZE * i + 3:RIG_SIZE * i + 5]
+        row += [*xyz, *angles, *u, *mix.speeds, *virtuals, *d_now]
+        row += [f[6] for f in front]
+        row += [st[6 + 2 * j] - xyz[j] for j in (0, 1, 2)]
+        row += [st[2 * j] - angles[j] for j in (0, 1, 2)]
+        return deriv, row, mix.clamped
 
 
 def rk4_step(f, a, t, dt, k1=None):
@@ -449,7 +355,6 @@ def run_scenario(sc: Scenario) -> RunResult:
     aborts with the partial log and the diagnostic recorded in the metrics;
     no exception escapes for runtime guards.
     """
-    sc.validate()
     loop = ClosedLoop(sc)
     dt = sc.dt
     n = int(round(sc.duration / dt))
@@ -461,15 +366,12 @@ def run_scenario(sc: Scenario) -> RunResult:
     for i in range(n + 1):
         t = i * dt
         try:
-            sig = loop.signals(t, a)
-            data[i] = [t, *a[:PLANT_DIM], *sig.estimates, *sig.refs, *sig.inputs,
-                       *sig.speeds, *sig.virtuals, *sig.disturbances, *sig.dhat,
-                       *sig.errors]
+            k1, data[i], clamped = loop.signals(t, a)
             rows = i + 1
-            clamp_events += sig.clamped
+            clamp_events += clamped
             if i == n:
                 break
-            a = rk4_step(loop.derivative, a, t, dt, k1=sig.deriv)
+            a = rk4_step(loop.derivative, a, t, dt, k1=k1)
             if not np.isfinite(a).all():
                 raise NonFiniteError(f"state became non-finite during the step at t={t:.6f} s")
         except (AngleGuardError, DenominatorTooSmallError, NonFiniteError) as exc:

@@ -22,10 +22,6 @@ smaller eps tracks faster at the price of transient peaking proportional
 to (initial output mismatch)/eps.
 """
 
-import math
-
-import numpy as np
-
 
 def do_derivative(
     gamma: float,
@@ -64,16 +60,3 @@ def hgo_derivative(
     dxhat1 = xhat2 + beta1 * innovation / eps
     dxhat2 = f_nominal + input_term + beta2 * innovation / (eps * eps)
     return dxhat1, dxhat2
-
-
-def hgo_error_matrix_is_hurwitz(beta1: float, beta2: float):
-    """Stability check of the scaled estimation-error matrix.
-
-    Returns (is_hurwitz, eigenvalues) for [[-beta1, 1], [-beta2, 0]], whose
-    characteristic polynomial is s^2 + beta1 s + beta2.  Both roots have
-    negative real part exactly when beta1 > 0 and beta2 > 0.
-    """
-    if not (math.isfinite(beta1) and math.isfinite(beta2)):
-        raise ValueError("observer gains must be finite")
-    eig = np.linalg.eigvals(np.array([[-beta1, 1.0], [-beta2, 0.0]]))
-    return bool(np.all(eig.real < 0.0)), eig

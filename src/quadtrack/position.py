@@ -104,10 +104,10 @@ def waypoint_trajectory(points: Sequence[Sequence[float]]):
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] < 1:
         raise ValueError("waypoints must be a non-empty sequence of (t, x, y, z) rows")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("waypoints must be finite")
     times = arr[:, 0]
-    if np.any(np.diff(times) <= 0.0):
+    if (times[1:] <= times[:-1]).any():
         raise ValueError("waypoint times must be strictly increasing")
     xs, ys, zs = arr[:, 1], arr[:, 2], arr[:, 3]
 

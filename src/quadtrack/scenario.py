@@ -10,15 +10,17 @@ and the six default disturbances):
       "trajectory":   {"type": "helix"}
                       | {"type": "waypoints", "points": [[t, x, y, z], ...]},
       "disturbances": {"x": {"type": "sinusoid", "amplitude": 1.0, ...},
+                       "z": {"type": "ramp", ..., "hold_after": false},
                        "roll": {"type": "noise", "kind": "gaussian", ...},
                        "yaw": {"type": "none"}, ...},
       "psi_des":      0.0,
       "initial_state": [12 floats],
       "sim":          {"dt": 0.001, "duration": 120.0, "seed": 0,
                        "decimation": 10},
-      "toggles":      {"position_do": true, "dz_hold_after_end": false,
-                       "true_state_feedback": false}
+      "toggles":      {"position_do": true, "true_state_feedback": false}
     }
+
+The duration must be a whole number of steps of dt.
 """
 
 import dataclasses
@@ -42,12 +44,20 @@ from .disturbances import (
     UniformNoise,
 )
 from .errors import ScenarioError
+from .position import waypoint_trajectory
 from .vehicle import QuadrotorParams
 
 CHANNELS = ("roll", "pitch", "yaw", "x", "y", "z")
 
 # Roll and pitch must stay this far inside +-pi/2 or the run aborts.
 ANGLE_GUARD_MARGIN = 0.05
+
+# duration/dt may sit this far (relative) from a whole number of steps.
+STEP_COUNT_RTOL = 1e-9
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def default_gains() -> Dict[str, ChannelGains]:
@@ -77,7 +87,6 @@ def default_disturbances() -> Dict[str, DisturbanceSpec]:
 @dataclass(frozen=True)
 class Toggles:
     position_do: bool = True            # subtract dhat in the position laws
-    dz_hold_after_end: bool = False     # hold the z ramp value instead of dropping to 0
     true_state_feedback: bool = False   # oracle mode: controller reads true states
 
 
@@ -96,32 +105,43 @@ class Scenario:
     toggles: Toggles = field(default_factory=Toggles)
 
     def validate(self):
-        if not (0.0 < self.dt <= 0.01):
-            raise ScenarioError(f"dt must be in (0, 0.01], got {self.dt}")
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ScenarioError(f"duration must be > 0, got {self.duration}")
+        if not (_is_real(self.dt) and 0.0 < self.dt <= 0.01):
+            raise ScenarioError(f"dt must be a number in (0, 0.01], got {self.dt!r}")
+        if not (_is_real(self.duration) and math.isfinite(self.duration) and self.duration > 0.0):
+            raise ScenarioError(f"duration must be a number > 0, got {self.duration!r}")
+        steps = self.duration / self.dt
+        if abs(steps - round(steps)) > STEP_COUNT_RTOL * steps:
+            raise ScenarioError(
+                f"duration {self.duration} is not a whole number of steps of dt {self.dt}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ScenarioError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (isinstance(self.decimation, int) and self.decimation >= 1):
             raise ScenarioError(f"decimation must be an integer >= 1, got {self.decimation!r}")
-        if not math.isfinite(self.psi_des):
-            raise ScenarioError("psi_des must be finite")
+        if not (_is_real(self.psi_des) and math.isfinite(self.psi_des)):
+            raise ScenarioError(f"psi_des must be a finite number, got {self.psi_des!r}")
         if set(self.gains) != set(CHANNELS):
             raise ScenarioError(f"gains must cover exactly {CHANNELS}")
         if set(self.disturbances) != set(CHANNELS):
             raise ScenarioError(f"disturbances must cover exactly {CHANNELS}")
         if len(self.initial_state) != 12:
             raise ScenarioError("initial_state must have 12 entries")
-        if not all(math.isfinite(v) for v in self.initial_state):
-            raise ScenarioError("initial_state must be finite")
+        if not all(_is_real(v) and math.isfinite(v) for v in self.initial_state):
+            raise ScenarioError("initial_state must be finite numbers")
         limit = math.pi / 2.0 - ANGLE_GUARD_MARGIN
         if abs(self.initial_state[0]) >= limit or abs(self.initial_state[2]) >= limit:
             raise ScenarioError("initial roll/pitch outside the model validity range")
+        if not isinstance(self.trajectory, dict):
+            raise ScenarioError(f"trajectory must be an object, got {self.trajectory!r}")
         kind = self.trajectory.get("type")
         if kind not in ("helix", "waypoints"):
             raise ScenarioError(f"unknown trajectory type: {kind!r}")
-        if kind == "waypoints" and not self.trajectory.get("points"):
-            raise ScenarioError("waypoint trajectory needs a non-empty 'points' list")
+        if kind == "waypoints":
+            if not self.trajectory.get("points"):
+                raise ScenarioError("waypoint trajectory needs a non-empty 'points' list")
+            try:
+                waypoint_trajectory(self.trajectory["points"])
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"bad waypoints: {exc}") from exc
         return self
 
 
@@ -153,7 +173,7 @@ def _noise_kind_from_dict(d: dict):
             return UniformNoise(low=d["low"], high=d["high"])
         if tag == "band_limited":
             return BandLimitedNoise(power=d["power"], inner_dt=d["inner_dt"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad noise kind spec {d!r}: {exc}") from exc
     raise ScenarioError(f"unknown noise kind: {tag!r}")
 
@@ -194,7 +214,7 @@ def disturbance_from_dict(d: dict) -> DisturbanceSpec:
         if tag == "noise":
             return SampledNoise(kind=_noise_kind_from_dict(d), hold=d["hold"],
                                 seed=d.get("seed"))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad disturbance spec {d!r}: {exc}") from exc
     raise ScenarioError(f"unknown disturbance type: {tag!r}")
 
@@ -227,6 +247,13 @@ def _merge_dataclass(cls, base, overrides: dict, what: str):
         raise ScenarioError(f"bad {what}: {exc}") from exc
 
 
+def _section(raw: dict, name: str) -> dict:
+    value = raw.get(name, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a validated Scenario, filling every omitted field with defaults."""
     if not isinstance(raw, dict):
@@ -240,27 +267,27 @@ def scenario_from_dict(raw: dict) -> Scenario:
     params = _merge_dataclass(QuadrotorParams, QuadrotorParams(), raw.get("params", {}), "params")
 
     gains = default_gains()
-    for ch, overrides in raw.get("gains", {}).items():
+    for ch, overrides in _section(raw, "gains").items():
         if ch not in gains:
             raise ScenarioError(f"unknown gains channel: {ch!r}")
         gains[ch] = _merge_dataclass(ChannelGains, gains[ch], overrides, f"gains.{ch}")
 
     disturbances = default_disturbances()
-    for ch, spec in raw.get("disturbances", {}).items():
+    for ch, spec in _section(raw, "disturbances").items():
         if ch not in disturbances:
             raise ScenarioError(f"unknown disturbance channel: {ch!r}")
         disturbances[ch] = disturbance_from_dict(spec)
 
     toggles = _merge_dataclass(Toggles, Toggles(), raw.get("toggles", {}), "toggles")
-    if toggles.dz_hold_after_end and isinstance(disturbances["z"], Ramp):
-        disturbances["z"] = dataclasses.replace(disturbances["z"], hold_after=True)
 
-    sim = raw.get("sim", {})
-    if not isinstance(sim, dict):
-        raise ScenarioError("sim must be an object")
+    sim = _section(raw, "sim")
     unknown = set(sim) - {"dt", "duration", "seed", "decimation"}
     if unknown:
         raise ScenarioError(f"unknown sim fields: {sorted(unknown)}")
+
+    initial_state = raw.get("initial_state", (0.0,) * 12)
+    if not isinstance(initial_state, (list, tuple)):
+        raise ScenarioError(f"initial_state must be a list, got {initial_state!r}")
 
     sc = Scenario(
         params=params,
@@ -268,7 +295,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         trajectory=raw.get("trajectory", {"type": "helix"}),
         disturbances=disturbances,
         psi_des=raw.get("psi_des", 0.0),
-        initial_state=tuple(raw.get("initial_state", (0.0,) * 12)),
+        initial_state=tuple(initial_state),
         dt=sim.get("dt", 1e-3),
         duration=sim.get("duration", 120.0),
         seed=sim.get("seed", 0),

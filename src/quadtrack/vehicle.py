@@ -52,20 +52,6 @@ class MixResult(NamedTuple):
     clamped: bool  # True when a negative squared speed had to be zeroed
 
 
-class DisturbanceVector(NamedTuple):
-    """Lumped accelerations added to the six second-derivative rows."""
-
-    d_phi: float
-    d_theta: float
-    d_psi: float
-    d_x: float
-    d_y: float
-    d_z: float
-
-
-ZERO_DISTURBANCE = DisturbanceVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class QuadrotorParams:
     """Physical constants of the airframe (defaults: 0.65 kg cross frame)."""
@@ -79,7 +65,6 @@ class QuadrotorParams:
     Ix: float = 7.5e-3       # airframe inertia, roll [kg m^2]
     Iy: float = 7.5e-3       # airframe inertia, pitch [kg m^2]
     Iz: float = 1.3e-3       # airframe inertia, yaw [kg m^2]
-    Im: float = 3.357e-5     # motor inertia [kg m^2]; carried, unused by the dynamics
     # None: residual propeller speed is computed from the rotor speeds with
     # the alternating-sign convention.  A float pins it to that constant.
     fixed_residual_speed: Optional[float] = None
@@ -104,7 +89,7 @@ def state_derivative(
     state: Sequence[float],
     inputs: ControlInputs,
     omega_r: float,
-    disturbance: Sequence[float] = ZERO_DISTURBANCE,
+    disturbance: Sequence[float] = (0.0,) * 6,
 ) -> np.ndarray:
     """Time derivative of the 12-dimensional state.
 
@@ -217,11 +202,3 @@ def virtual_from_angles(phi: float, theta: float, psi: float):
     ux = cphi * stheta * cpsi + sphi * spsi
     uy = cphi * stheta * spsi - sphi * cpsi
     return ux, uy
-
-
-def rotor_forces_torques(params: QuadrotorParams, w: RotorSpeeds):
-    """Per-rotor (thrust [N], drag torque [N m]) pairs: b w^2 and d w^2."""
-    _require_finite(w, "rotor speeds")
-    if any(wi < 0.0 for wi in w):
-        raise ValueError(f"rotor speeds must be nonnegative, got {tuple(w)}")
-    return tuple((params.b * wi * wi, params.d * wi * wi) for wi in w)

@@ -135,7 +135,8 @@ class TestGainValidation:
         with pytest.raises(ValueError):
             ChannelGains(**base)
 
-    def test_lyapunov_margin_reported_not_enforced(self):
-        g = ChannelGains(p=0.1, k=5.0, lam=5.0)
-        assert not g.lyapunov_margin_ok
-        assert ChannelGains(p=100.0, k=120.0, lam=10.0).lyapunov_margin_ok
+    def test_lyapunov_margin_not_enforced(self):
+        # p and k below the 1/2 damping margin are accepted, as the stock
+        # position gains (p = 0.1) need
+        g = ChannelGains(p=0.1, k=0.1, lam=5.0)
+        assert (g.p, g.k) == (0.1, 0.1)

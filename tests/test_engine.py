@@ -5,22 +5,22 @@ import numpy as np
 import pytest
 
 from quadtrack import (
+    CHANNELS,
     COLUMNS,
     ClosedLoop,
     ControlInputs,
     QuadrotorParams,
     SimLog,
-    ZERO_DISTURBANCE,
     compute_rmse,
     default_scenario,
     read_trace,
-    rig_base,
     rk4_step,
     run_scenario,
     scenario_from_dict,
     state_derivative,
     write_trace,
 )
+from quadtrack.engine import PLANT_DIM, RIG_SIZE
 
 
 class TestRk4:
@@ -92,13 +92,41 @@ class TestClosedLoopDerivative:
         rng = np.random.default_rng(31)
         a[:12] += rng.normal(0.0, 0.05, 12)
         for ch in ("x", "y", "z"):
-            base = rig_base(ch)
+            base = PLANT_DIM + RIG_SIZE * CHANNELS.index(ch)
             a[base:base + 5] += rng.normal(0.0, 0.05, 5)
             lam = sc_on.gains[ch].lam
             a[base + 5] = -lam * a[base + 4]  # gamma forcing dhat == 0
         d_on = ClosedLoop(sc_on).derivative(0.05, a.copy())
         d_off = ClosedLoop(sc_off).derivative(0.05, a.copy())
         assert np.array_equal(d_on, d_off)
+
+    @staticmethod
+    def oracle_pair():
+        """Stock loops with estimated and with true-state feedback, and a random
+        state whose HGO estimates equal the true outputs and rates."""
+        sc = dataclasses.replace(default_scenario(), duration=0.2)
+        oracle = dataclasses.replace(
+            sc, toggles=dataclasses.replace(sc.toggles, true_state_feedback=True))
+        rng = np.random.default_rng(5)
+        a = ClosedLoop(sc).initial_state()
+        a += rng.normal(0.0, 0.05, a.shape)
+        for i in range(len(CHANNELS)):
+            base = PLANT_DIM + RIG_SIZE * i
+            a[base + 3:base + 5] = a[2 * i:2 * i + 2]
+        return ClosedLoop(sc), ClosedLoop(oracle), a
+
+    def test_oracle_feedback_is_transparent_when_estimates_are_exact(self):
+        loop, oracle, a = self.oracle_pair()
+        assert np.array_equal(loop.derivative(0.05, a), oracle.derivative(0.05, a))
+
+    def test_oracle_feedback_reads_true_states(self):
+        loop, oracle, a = self.oracle_pair()
+        for i in range(len(CHANNELS)):
+            base = PLANT_DIM + RIG_SIZE * i
+            a[base + 3:base + 5] += 0.01
+        # the control laws read different feedback, so the plant sees other inputs
+        d_est, d_true = loop.derivative(0.05, a), oracle.derivative(0.05, a)
+        assert not np.array_equal(d_est[:PLANT_DIM], d_true[:PLANT_DIM])
 
     def test_finite_difference_consistency(self):
         # (a' - a)/dt agrees with the midpoint derivative to O(dt^2) on a
@@ -128,7 +156,7 @@ class TestClosedLoopDerivative:
         # plant-only sanity: zero inputs, vertical velocity only decreases
         p = QuadrotorParams()
         u = ControlInputs(0.0, 0.0, 0.0, 0.0)
-        f = lambda t, s: state_derivative(p, s, u, 0.0, ZERO_DISTURBANCE)
+        f = lambda t, s: state_derivative(p, s, u, 0.0)
         s = np.zeros(12)
         vz_prev = 0.0
         for i in range(500):

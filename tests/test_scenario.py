@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtrack import (
     Ramp,
@@ -11,6 +13,7 @@ from quadtrack import (
     Step,
     default_scenario,
     load_scenario,
+    make_generator,
     scenario_digest,
     scenario_from_dict,
     scenario_to_dict,
@@ -71,9 +74,12 @@ class TestPartialOverrides:
         assert isinstance(sc.disturbances["x"], NoDisturbance)
         assert isinstance(sc.disturbances["y"], Step)
 
-    def test_dz_hold_toggle_rewrites_ramp(self):
-        sc = scenario_from_dict({"toggles": {"dz_hold_after_end": True}})
+    def test_ramp_hold_after_override(self):
+        ramp = {"type": "ramp", "offset": 0.1, "slope": 0.01, "end": 100.0, "hold_after": True}
+        sc = scenario_from_dict({"disturbances": {"z": ramp}})
         assert sc.disturbances["z"].hold_after is True
+        gen = make_generator(sc.disturbances["z"], None, sc.duration)
+        assert gen.value(110.0) == gen.value(100.0) == pytest.approx(1.1)
 
     def test_fixed_residual_speed(self):
         sc = scenario_from_dict({"params": {"fixed_residual_speed": 3.0}})
@@ -103,6 +109,16 @@ class TestValidationErrors:
             {"initial_state": [1.6] + [0.0] * 11},
             {"unknown_section": {}},
             "not an object",
+            {"sim": {"dt": "0.001"}},
+            {"psi_des": "x"},
+            {"initial_state": 5},
+            {"trajectory": "helix"},
+            {"disturbances": {"x": {"type": "sinusoid", "amplitude": "1", "omega": 0.1}}},
+            {"trajectory": {"type": "waypoints", "points": [[0, 1, 2]]}},
+            {"trajectory": {"type": "waypoints", "points": [[1, 0, 0, 1], [0, 1, 1, 1]]}},
+            {"params": {"Im": 1e-5}},
+            {"toggles": {"dz_hold_after_end": True}},
+            {"sim": {"duration": 0.0105}},
         ],
     )
     def test_rejected(self, raw):
@@ -126,3 +142,56 @@ class TestFileLoading:
         path.write_text("{nope")
         with pytest.raises(ScenarioError):
             load_scenario(path)
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+_POSITIVE = _floats(1e-6, 1e3)
+_UNIT = _floats(1e-3, 1.0)
+_ANY = _floats(-1e3, 1e3)
+_PARAM_FIELDS = ("g", "m", "l", "b", "d", "Ir", "Ix", "Iy", "Iz")
+_GAIN_FIELDS = {"p": _POSITIVE, "k": _POSITIVE, "lam": _floats(0.51, 1e3), "tau": _UNIT,
+                "m1": _POSITIVE, "m2": _POSITIVE, "beta1": _POSITIVE, "beta2": _POSITIVE,
+                "eps": _UNIT}
+_CHANNELS = ("roll", "pitch", "yaw", "x", "y", "z")
+_NOISE_KINDS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("gaussian"), "sigma": _floats(0.0, 10.0)}),
+    st.tuples(_ANY, _ANY).map(lambda lh: {"kind": "uniform", "low": min(lh), "high": max(lh)}),
+    st.fixed_dictionaries({"kind": st.just("band_limited"), "power": _floats(0.0, 10.0),
+                           "inner_dt": _POSITIVE}),
+)
+_DISTURBANCES = st.one_of(
+    st.just({"type": "none"}),
+    st.fixed_dictionaries({"type": st.just("sinusoid"), "amplitude": _ANY, "omega": _ANY,
+                           "phase": _ANY}),
+    st.fixed_dictionaries({"type": st.just("step"), "value": _ANY, "onset": _floats(0.0, 1e3)}),
+    st.fixed_dictionaries({"type": st.just("ramp"), "offset": _ANY, "slope": _ANY,
+                           "end": _floats(0.0, 1e3), "hold_after": st.booleans()}),
+    st.tuples(_NOISE_KINDS, _POSITIVE, st.none() | st.integers(0, 2**32)).map(
+        lambda k: {"type": "noise", **k[0], "hold": k[1], "seed": k[2]}),
+)
+
+
+@st.composite
+def _valid_overrides(draw):
+    params = draw(st.fixed_dictionaries({"fixed_residual_speed": st.none() | _ANY},
+                                        optional={name: _POSITIVE for name in _PARAM_FIELDS}))
+    gains = draw(st.dictionaries(st.sampled_from(_CHANNELS),
+                                 st.fixed_dictionaries({}, optional=_GAIN_FIELDS)))
+    dt = draw(_floats(1e-5, 0.01))
+    sim = {"dt": dt, "duration": draw(st.integers(1, 10**6)) * dt,
+           "seed": draw(st.integers(0, 2**32)), "decimation": draw(st.integers(1, 100))}
+    disturbances = draw(st.dictionaries(st.sampled_from(_CHANNELS), _DISTURBANCES))
+    return {"params": params, "gains": gains, "sim": sim, "disturbances": disturbances}
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_valid_overrides())
+    def test_dict_round_trip_keeps_scenario_and_digest(self, raw):
+        sc = scenario_from_dict(raw)
+        back = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
+        assert back == sc
+        assert scenario_digest(back) == scenario_digest(sc)

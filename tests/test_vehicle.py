@@ -8,10 +8,8 @@ from quadtrack import (
     NonFiniteError,
     QuadrotorParams,
     RotorSpeeds,
-    ZERO_DISTURBANCE,
     mix_inputs_to_rotor_speeds,
     residual_speed,
-    rotor_forces_torques,
     rotor_speeds_to_inputs,
     state_derivative,
     virtual_from_angles,
@@ -30,12 +28,12 @@ def level_state(**kw):
 class TestStateDerivative:
     def test_hover_equilibrium(self):
         u = ControlInputs(PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
-        ds = state_derivative(PARAMS, level_state(), u, 0.0, ZERO_DISTURBANCE)
+        ds = state_derivative(PARAMS, level_state(), u, 0.0)
         assert np.array_equal(ds, np.zeros(12))
 
     def test_free_fall(self):
         u = ControlInputs(0.0, 0.0, 0.0, 0.0)
-        ds = state_derivative(PARAMS, level_state(), u, 0.0, ZERO_DISTURBANCE)
+        ds = state_derivative(PARAMS, level_state(), u, 0.0)
         expected = np.zeros(12)
         expected[11] = -9.81
         assert np.allclose(ds, expected, atol=0.0)
@@ -43,7 +41,7 @@ class TestStateDerivative:
     def test_pure_yaw_torque(self):
         # U_psi equal to Iz gives exactly 1 rad/s^2 of yaw acceleration.
         u = ControlInputs(0.0, 0.0, 0.0, 1.3e-3)
-        ds = state_derivative(PARAMS, level_state(), u, 0.0, ZERO_DISTURBANCE)
+        ds = state_derivative(PARAMS, level_state(), u, 0.0)
         assert ds[5] == pytest.approx(1.0, rel=1e-12)
         assert ds[11] == pytest.approx(-PARAMS.g)
         others = [i for i in range(12) if i not in (5, 11)]
@@ -75,7 +73,7 @@ class TestStateDerivative:
             uab = ControlInputs(up, *(t1 + t2))
             dab = tuple(a + b for a, b in zip(d1, d2))
             lhs = state_derivative(PARAMS, s, uab, omega_r, dab) + state_derivative(
-                PARAMS, s, u0, omega_r, ZERO_DISTURBANCE)
+                PARAMS, s, u0, omega_r)
             rhs = state_derivative(PARAMS, s, ua, omega_r, d1) + state_derivative(
                 PARAMS, s, ub, omega_r, d2)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
@@ -85,15 +83,15 @@ class TestStateDerivative:
         bad = level_state()
         bad[3] = math.nan
         with pytest.raises(NonFiniteError):
-            state_derivative(PARAMS, bad, u, 0.0, ZERO_DISTURBANCE)
+            state_derivative(PARAMS, bad, u, 0.0)
         with pytest.raises(NonFiniteError):
             state_derivative(PARAMS, level_state(), ControlInputs(1.0, math.inf, 0.0, 0.0),
-                             0.0, ZERO_DISTURBANCE)
+                             0.0)
 
     def test_rejects_negative_thrust(self):
         with pytest.raises(ValueError):
             state_derivative(PARAMS, level_state(), ControlInputs(-1.0, 0.0, 0.0, 0.0),
-                             0.0, ZERO_DISTURBANCE)
+                             0.0)
 
 
 class TestMixing:
@@ -175,22 +173,6 @@ class TestVirtualFromAngles:
         for _ in range(500):
             ux, uy = virtual_from_angles(*rng.uniform(-math.pi, math.pi, 3))
             assert -1.0 <= ux <= 1.0 and -1.0 <= uy <= 1.0
-
-
-class TestRotorForces:
-    def test_zero_speed(self):
-        f, tau = rotor_forces_torques(PARAMS, RotorSpeeds(0.0, 300.0, 300.0, 300.0))[0]
-        assert f == 0.0 and tau == 0.0
-
-    def test_reference_speed(self):
-        f, tau = rotor_forces_torques(PARAMS, RotorSpeeds(1000.0, 0.0, 0.0, 0.0))[0]
-        assert f == pytest.approx(2.98, rel=1e-12)
-        assert tau == pytest.approx(0.75, rel=1e-12)
-
-    def test_forces_sum_to_thrust(self):
-        w = RotorSpeeds(400.0, 450.0, 500.0, 550.0)
-        total = sum(f for f, _ in rotor_forces_torques(PARAMS, w))
-        assert total == pytest.approx(rotor_speeds_to_inputs(PARAMS, w).up, rel=1e-12)
 
 
 class TestParamsValidation:

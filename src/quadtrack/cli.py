@@ -4,7 +4,9 @@
     quadtrack sweep --scenario mission.json --vary gains.roll.k=100,120,140 \
                     --out sweeps/ [--jobs 4]
 
-Exit codes: 0 success, 2 scenario validation failure, 3 runtime guard abort.
+Exit codes: 0 success, 2 scenario validation failure or bad arguments,
+3 runtime guard abort or output failure (a sweep still runs its other members
+and writes sweep.json, recording the failed member with its error).
 """
 
 import argparse
@@ -15,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .engine import run_scenario, write_summary, write_trace
-from .errors import ScenarioError
+from .errors import ScenarioError, SimulationError
 from .scenario import load_scenario, scenario_from_dict, scenario_to_dict
 
 EXIT_OK = 0
@@ -59,11 +61,14 @@ def _apply_overrides(sc_dict: dict, args) -> dict:
 
 
 def _execute(sc, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log, metrics = run_scenario(sc)
-    write_trace(log, out_dir / "trace.csv", decimation=sc.decimation)
-    summary = write_summary(metrics, sc, out_dir / "summary.json")
-    return summary
+    """Run sc into out_dir; an output failure comes back as {"completed": False, "error": ...}."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        log, metrics = run_scenario(sc)
+        write_trace(log, out_dir / "trace.csv", decimation=sc.decimation)
+        return write_summary(metrics, sc, out_dir / "summary.json")
+    except (OSError, SimulationError) as exc:
+        return {"completed": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _run_command(args) -> int:
@@ -74,6 +79,9 @@ def _run_command(args) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     summary = _execute(sc, Path(args.out))
+    if "error" in summary:
+        print(f"output error: {summary['error']}", file=sys.stderr)
+        return EXIT_GUARD
     if not summary["completed"]:
         abort = summary["abort"]
         print(f"run aborted: {abort['reason']} at t={abort['t']:.3f} s: {abort['detail']}",
@@ -114,46 +122,43 @@ def _set_path(d: dict, keys, value):
     node[keys[-1]] = value
 
 
-def _sweep_worker(payload):
-    sc_dict, out_dir = payload
-    sc = scenario_from_dict(sc_dict)
-    return _execute(sc, Path(out_dir))
-
-
 def _sweep_command(args) -> int:
     try:
         base = scenario_to_dict(load_scenario(args.scenario))
         keys, values = _parse_vary(args.vary)
-        jobs = []
-        out_root = Path(args.out)
+        scenarios = []
         for value in values:
             sc_dict = copy.deepcopy(base)
             _set_path(sc_dict, keys, value)
-            scenario_from_dict(sc_dict)  # validate before launching anything
-            tag = "_".join(keys) + f"_{value}"
-            jobs.append((sc_dict, str(out_root / tag)))
+            scenarios.append(scenario_from_dict(sc_dict))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
 
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = Path(args.out)
+    out_dirs = [out_root / ("_".join(keys) + f"_{value}") for value in values]
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_sweep_worker, jobs))
+            summaries = list(pool.map(_execute, scenarios, out_dirs))
     else:
-        summaries = [_sweep_worker(job) for job in jobs]
+        summaries = list(map(_execute, scenarios, out_dirs))
 
     index = []
     status = EXIT_OK
-    for (sc_dict, out_dir), summary in zip(jobs, summaries):
-        index.append({
-            "value": _dig(sc_dict, keys),
-            "out": out_dir,
-            "completed": summary["completed"],
-            "tracking_rmse": summary["tracking_rmse"],
-        })
-        marker = "ok" if summary["completed"] else "ABORTED"
-        print(f"{out_dir}: {marker}")
+    for value, out_dir, summary in zip(values, out_dirs, summaries):
+        entry = {"value": value, "out": str(out_dir), "completed": summary["completed"]}
+        if "error" in summary:
+            entry["error"] = summary["error"]
+            print(f"{out_dir}: output error: {summary['error']}")
+        else:
+            entry["tracking_rmse"] = summary["tracking_rmse"]
+            print(f"{out_dir}: {'ok' if summary['completed'] else 'ABORTED'}")
+        index.append(entry)
         if not summary["completed"]:
             status = EXIT_GUARD
     (out_root / "sweep.json").write_text(json.dumps(
@@ -161,15 +166,11 @@ def _sweep_command(args) -> int:
     return status
 
 
-def _dig(d: dict, keys):
-    node = d
-    for key in keys:
-        node = node[key]
-    return node
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep" and args.jobs < 1:
+        parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     if args.command == "run":
         return _run_command(args)
     return _sweep_command(args)

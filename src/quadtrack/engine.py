@@ -89,7 +89,6 @@ class ClosedLoop:
     """Derivative field of the full closed loop for one scenario."""
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         self.scenario = scenario
         self.params = scenario.params
         self._psi_des = scenario.psi_des

@@ -20,16 +20,27 @@ and the six default disturbances):
       "toggles":      {"position_do": true, "true_state_feedback": false}
     }
 
-The duration must be a whole number of steps of dt.
+The field annotations of the dataclasses (`QuadrotorParams`, `ChannelGains`,
+`Toggles`, each disturbance and noise kind, and `Scenario`'s sim fields) are
+the schema.  Unknown fields are rejected in every section, disturbances and
+trajectory included.  Types are compared exactly: `true`/`false` are not
+numbers, and a number field accepts an integer (kept as given, so the digest
+does not change) as long as it fits in a float.  A noise disturbance carries
+its kind's fields beside its own.  A `Scenario` checks its ranges when it is
+constructed, so `dataclasses.replace` re-validates; the duration must be a
+whole number of steps of dt.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple, Union
 
 from .attitude import ChannelGains
 from .disturbances import (
@@ -54,10 +65,6 @@ ANGLE_GUARD_MARGIN = 0.05
 
 # duration/dt may sit this far (relative) from a whole number of steps.
 STEP_COUNT_RTOL = 1e-9
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def default_gains() -> Dict[str, ChannelGains]:
@@ -104,45 +111,40 @@ class Scenario:
     decimation: int = 10
     toggles: Toggles = field(default_factory=Toggles)
 
-    def validate(self):
-        if not (_is_real(self.dt) and 0.0 < self.dt <= 0.01):
-            raise ScenarioError(f"dt must be a number in (0, 0.01], got {self.dt!r}")
-        if not (_is_real(self.duration) and math.isfinite(self.duration) and self.duration > 0.0):
-            raise ScenarioError(f"duration must be a number > 0, got {self.duration!r}")
+    def __post_init__(self):
+        if not 0.0 < self.dt <= 0.01:
+            raise ScenarioError(f"dt must be in (0, 0.01], got {self.dt!r}")
+        if not (math.isfinite(self.duration) and self.duration > 0.0):
+            raise ScenarioError(f"duration must be finite and > 0, got {self.duration!r}")
         steps = self.duration / self.dt
-        if abs(steps - round(steps)) > STEP_COUNT_RTOL * steps:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > STEP_COUNT_RTOL * steps:
             raise ScenarioError(
                 f"duration {self.duration} is not a whole number of steps of dt {self.dt}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ScenarioError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (isinstance(self.decimation, int) and self.decimation >= 1):
-            raise ScenarioError(f"decimation must be an integer >= 1, got {self.decimation!r}")
-        if not (_is_real(self.psi_des) and math.isfinite(self.psi_des)):
-            raise ScenarioError(f"psi_des must be a finite number, got {self.psi_des!r}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed!r}")
+        if self.decimation < 1:
+            raise ScenarioError(f"decimation must be >= 1, got {self.decimation!r}")
+        if not math.isfinite(self.psi_des):
+            raise ScenarioError(f"psi_des must be finite, got {self.psi_des!r}")
         if set(self.gains) != set(CHANNELS):
             raise ScenarioError(f"gains must cover exactly {CHANNELS}")
         if set(self.disturbances) != set(CHANNELS):
             raise ScenarioError(f"disturbances must cover exactly {CHANNELS}")
         if len(self.initial_state) != 12:
             raise ScenarioError("initial_state must have 12 entries")
-        if not all(_is_real(v) and math.isfinite(v) for v in self.initial_state):
+        if not all(math.isfinite(v) for v in self.initial_state):
             raise ScenarioError("initial_state must be finite numbers")
         limit = math.pi / 2.0 - ANGLE_GUARD_MARGIN
         if abs(self.initial_state[0]) >= limit or abs(self.initial_state[2]) >= limit:
             raise ScenarioError("initial roll/pitch outside the model validity range")
-        if not isinstance(self.trajectory, dict):
-            raise ScenarioError(f"trajectory must be an object, got {self.trajectory!r}")
         kind = self.trajectory.get("type")
         if kind not in ("helix", "waypoints"):
             raise ScenarioError(f"unknown trajectory type: {kind!r}")
         if kind == "waypoints":
-            if not self.trajectory.get("points"):
-                raise ScenarioError("waypoint trajectory needs a non-empty 'points' list")
             try:
-                waypoint_trajectory(self.trajectory["points"])
+                waypoint_trajectory(self.trajectory.get("points", ()))
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"bad waypoints: {exc}") from exc
-        return self
 
 
 def default_scenario() -> Scenario:
@@ -151,72 +153,101 @@ def default_scenario() -> Scenario:
 
 # --- dict <-> dataclass plumbing -------------------------------------------
 
-_NOISE_KIND_TAGS = {
-    GaussianNoise: "gaussian",
-    UniformNoise: "uniform",
-    BandLimitedNoise: "band_limited",
-}
+_NUMBER = frozenset({int, float})
+_OBJECT = frozenset({dict})
+_SEQUENCE = frozenset({list, tuple})
+_TEXT = frozenset({str})
+_FLOAT_MAX = sys.float_info.max
+
+_DISTURBANCE_TAGS = {"none": NoDisturbance, "sinusoid": Sinusoid, "step": Step,
+                     "ramp": Ramp, "noise": SampledNoise}
+_NOISE_KIND_TAGS = {"gaussian": GaussianNoise, "uniform": UniformNoise,
+                    "band_limited": BandLimitedNoise}
+_TAG_OF = {cls: tag for table in (_DISTURBANCE_TAGS, _NOISE_KIND_TAGS)
+           for tag, cls in table.items()}
+
+_TRAJECTORY_TAGS = {"helix": {"type": _TEXT}, "waypoints": {"type": _TEXT, "points": _SEQUENCE}}
+_SECTIONS = {"params": _OBJECT, "gains": _OBJECT, "trajectory": _OBJECT,
+             "disturbances": _OBJECT, "psi_des": _NUMBER, "initial_state": _SEQUENCE,
+             "sim": _OBJECT, "toggles": _OBJECT}
+_CHANNEL_SECTION = dict.fromkeys(CHANNELS, _OBJECT)
 
 
-def _noise_kind_to_dict(kind) -> dict:
-    d = dataclasses.asdict(kind)
-    d["kind"] = _NOISE_KIND_TAGS[type(kind)]
-    return d
+@functools.cache
+def _schema(cls) -> Dict[str, frozenset]:
+    """Field name -> the exact value types its annotation admits (float also admits int)."""
+    schema = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        members = typing.get_args(hint) if typing.get_origin(hint) is Union else (hint,)
+        schema[name] = frozenset().union(*(_NUMBER if t is float else (t,) for t in members))
+    return schema
 
 
-def _noise_kind_from_dict(d: dict):
-    tag = d.get("kind")
+_SIM = {name: _schema(Scenario)[name] for name in ("dt", "duration", "seed", "decimation")}
+
+
+def _check(value, admitted: frozenset, where: str) -> None:
+    kind = type(value)
+    if kind not in admitted:
+        names = " or ".join(sorted(t.__name__ for t in admitted))
+        raise ScenarioError(f"{where} must be {names}, got {value!r}")
+    if kind is int and float in admitted and abs(value) > _FLOAT_MAX:
+        raise ScenarioError(f"{where} is an integer beyond the float range")
+
+
+def _checked(raw, schema: Dict[str, frozenset], what: str) -> dict:
+    """raw, once it is an object whose fields are all in schema with admitted types."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{what} must be an object, got {raw!r}")
+    for name, value in raw.items():
+        admitted = schema.get(name)
+        if admitted is None:
+            raise ScenarioError(f"unknown {what} field: {name!r}")
+        if type(value) not in admitted or (type(value) is int and float in admitted):
+            _check(value, admitted, f"{what}.{name}")
+    return raw
+
+
+def _numbers(values, what: str) -> tuple:
+    _check(values, _SEQUENCE, what)
+    for i, v in enumerate(values):
+        if type(v) is not float:
+            _check(v, _NUMBER, f"{what}[{i}]")
+    return tuple(values)
+
+
+def _build(cls, raw, what: str, base=None):
+    fields = _checked(raw, _schema(cls), what)
     try:
-        if tag == "gaussian":
-            return GaussianNoise(sigma=d["sigma"])
-        if tag == "uniform":
-            return UniformNoise(low=d["low"], high=d["high"])
-        if tag == "band_limited":
-            return BandLimitedNoise(power=d["power"], inner_dt=d["inner_dt"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad noise kind spec {d!r}: {exc}") from exc
-    raise ScenarioError(f"unknown noise kind: {tag!r}")
+        return cls(**fields) if base is None else dataclasses.replace(base, **fields)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {what}: {exc}") from exc
+
+
+def _tagged(table: dict, raw, key: str, what: str):
+    """table's entry for the tag raw[key]; raw is already known to be an object."""
+    tag = raw.get(key)
+    if not (type(tag) is str and tag in table):
+        raise ScenarioError(f"unknown {what} {key}: {tag!r}")
+    return table[tag]
 
 
 def disturbance_to_dict(spec: DisturbanceSpec) -> dict:
-    if isinstance(spec, NoDisturbance):
-        return {"type": "none"}
-    if isinstance(spec, Sinusoid):
-        return {"type": "sinusoid", "amplitude": spec.amplitude, "omega": spec.omega,
-                "phase": spec.phase}
-    if isinstance(spec, Step):
-        return {"type": "step", "value": spec.value, "onset": spec.onset}
-    if isinstance(spec, Ramp):
-        return {"type": "ramp", "offset": spec.offset, "slope": spec.slope,
-                "end": spec.end, "hold_after": spec.hold_after}
-    if isinstance(spec, SampledNoise):
-        out = {"type": "noise", "hold": spec.hold, "seed": spec.seed}
-        out.update(_noise_kind_to_dict(spec.kind))
-        return out
-    raise TypeError(f"unknown disturbance spec: {spec!r}")
+    out = {"type": _TAG_OF[type(spec)], **vars(spec)}
+    kind = out.pop("kind", None)
+    if kind is not None:
+        out.update(vars(kind), kind=_TAG_OF[type(kind)])
+    return out
 
 
-def disturbance_from_dict(d: dict) -> DisturbanceSpec:
-    if not isinstance(d, dict):
-        raise ScenarioError(f"disturbance spec must be an object, got {d!r}")
-    tag = d.get("type")
-    try:
-        if tag == "none":
-            return NoDisturbance()
-        if tag == "sinusoid":
-            return Sinusoid(amplitude=d["amplitude"], omega=d["omega"],
-                            phase=d.get("phase", 0.0))
-        if tag == "step":
-            return Step(value=d["value"], onset=d["onset"])
-        if tag == "ramp":
-            return Ramp(offset=d["offset"], slope=d["slope"], end=d["end"],
-                        hold_after=d.get("hold_after", False))
-        if tag == "noise":
-            return SampledNoise(kind=_noise_kind_from_dict(d), hold=d["hold"],
-                                seed=d.get("seed"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad disturbance spec {d!r}: {exc}") from exc
-    raise ScenarioError(f"unknown disturbance type: {tag!r}")
+def disturbance_from_dict(d: dict, what: str) -> DisturbanceSpec:
+    cls = _tagged(_DISTURBANCE_TAGS, d, "type", what)
+    fields = {name: value for name, value in d.items() if name != "type"}
+    if cls is SampledNoise:
+        kind_cls = _tagged(_NOISE_KIND_TAGS, d, "kind", what)
+        kind_fields = {name: fields.pop(name) for name in _schema(kind_cls) if name in fields}
+        fields["kind"] = _build(kind_cls, kind_fields, what)
+    return _build(cls, fields, what)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -234,75 +265,31 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def _merge_dataclass(cls, base, overrides: dict, what: str):
-    if not isinstance(overrides, dict):
-        raise ScenarioError(f"{what} must be an object, got {overrides!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ScenarioError(f"unknown {what} fields: {sorted(unknown)}")
-    try:
-        return dataclasses.replace(base, **overrides)
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"bad {what}: {exc}") from exc
-
-
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{name} must be an object, got {value!r}")
-    return value
-
-
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a validated Scenario, filling every omitted field with defaults."""
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    known = {"params", "gains", "trajectory", "disturbances", "psi_des",
-             "initial_state", "sim", "toggles"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ScenarioError(f"unknown scenario sections: {sorted(unknown)}")
-
-    params = _merge_dataclass(QuadrotorParams, QuadrotorParams(), raw.get("params", {}), "params")
-
+    raw = _checked(raw, _SECTIONS, "scenario")
     gains = default_gains()
-    for ch, overrides in _section(raw, "gains").items():
-        if ch not in gains:
-            raise ScenarioError(f"unknown gains channel: {ch!r}")
-        gains[ch] = _merge_dataclass(ChannelGains, gains[ch], overrides, f"gains.{ch}")
-
+    for ch, overrides in _checked(raw.get("gains", {}), _CHANNEL_SECTION, "gains").items():
+        gains[ch] = _build(ChannelGains, overrides, f"gains.{ch}", gains[ch])
     disturbances = default_disturbances()
-    for ch, spec in _section(raw, "disturbances").items():
-        if ch not in disturbances:
-            raise ScenarioError(f"unknown disturbance channel: {ch!r}")
-        disturbances[ch] = disturbance_from_dict(spec)
-
-    toggles = _merge_dataclass(Toggles, Toggles(), raw.get("toggles", {}), "toggles")
-
-    sim = _section(raw, "sim")
-    unknown = set(sim) - {"dt", "duration", "seed", "decimation"}
-    if unknown:
-        raise ScenarioError(f"unknown sim fields: {sorted(unknown)}")
-
-    initial_state = raw.get("initial_state", (0.0,) * 12)
-    if not isinstance(initial_state, (list, tuple)):
-        raise ScenarioError(f"initial_state must be a list, got {initial_state!r}")
-
-    sc = Scenario(
-        params=params,
+    for ch, spec in _checked(raw.get("disturbances", {}), _CHANNEL_SECTION,
+                             "disturbances").items():
+        disturbances[ch] = disturbance_from_dict(spec, f"disturbances.{ch}")
+    trajectory = raw.get("trajectory", {"type": "helix"})
+    _checked(trajectory, _tagged(_TRAJECTORY_TAGS, trajectory, "type", "trajectory"),
+             "trajectory")
+    for i, row in enumerate(trajectory.get("points", ())):
+        _numbers(row, f"trajectory.points[{i}]")
+    return Scenario(
+        params=_build(QuadrotorParams, raw.get("params", {}), "params"),
         gains=gains,
-        trajectory=raw.get("trajectory", {"type": "helix"}),
+        trajectory=trajectory,
         disturbances=disturbances,
         psi_des=raw.get("psi_des", 0.0),
-        initial_state=tuple(initial_state),
-        dt=sim.get("dt", 1e-3),
-        duration=sim.get("duration", 120.0),
-        seed=sim.get("seed", 0),
-        decimation=sim.get("decimation", 10),
-        toggles=toggles,
+        initial_state=_numbers(raw.get("initial_state", (0.0,) * 12), "initial_state"),
+        toggles=_build(Toggles, raw.get("toggles", {}), "toggles"),
+        **_checked(raw.get("sim", {}), _SIM, "sim"),
     )
-    return sc.validate()
 
 
 def load_scenario(path) -> Scenario:

@@ -47,6 +47,12 @@ class TestRun:
         assert main(["run", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_output_failure_exits_3(self, tmp_path, short_scenario, capsys):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file where the output directory should go")
+        assert main(["run", "--scenario", str(short_scenario), "--out", str(blocked)]) == 3
+        assert "output error" in capsys.readouterr().err
+
     def test_guard_abort_exits_3_with_partial_outputs(self, tmp_path):
         cfg = tmp_path / "abort.json"
         cfg.write_text(json.dumps({
@@ -89,3 +95,31 @@ class TestSweep:
     def test_sweep_invalid_value_exits_2(self, tmp_path, short_scenario):
         assert main(["sweep", "--scenario", str(short_scenario),
                      "--vary", "gains.roll.k=-5", "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_member_output_failure_keeps_the_others(self, tmp_path, short_scenario, jobs):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "gains_roll_k_100").write_text("a file where the member directory should go")
+        code = main(["sweep", "--scenario", str(short_scenario),
+                     "--vary", "gains.roll.k=100,140", "--out", str(out), "--jobs", jobs])
+        assert code == 3
+        failed, done = json.loads((out / "sweep.json").read_text())["runs"]
+        assert failed["completed"] is False and "FileExistsError" in failed["error"]
+        assert done["completed"] is True and done["value"] == 140
+        assert (pathlib.Path(done["out"]) / "summary.json").exists()
+
+    def test_sweep_output_root_blocked_exits_3(self, tmp_path, short_scenario, capsys):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file where the sweep directory should go")
+        assert main(["sweep", "--scenario", str(short_scenario),
+                     "--vary", "sim.seed=1", "--out", str(blocked)]) == 3
+        assert "output error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_sweep_jobs_below_one_exits_2(self, tmp_path, short_scenario, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", str(short_scenario), "--vary", "sim.seed=1,2",
+                  "--out", str(tmp_path / "s"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s").exists()

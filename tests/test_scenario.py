@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -23,7 +24,6 @@ from quadtrack import (
 class TestDefaults:
     def test_default_scenario_validates(self):
         sc = default_scenario()
-        sc.validate()
         assert sc.dt == 1e-3
         assert sc.duration == 120.0
         assert sc.params.m == 0.650
@@ -86,6 +86,10 @@ class TestPartialOverrides:
         assert sc.params.fixed_residual_speed == 3.0
 
 
+_GAUSSIAN = {"type": "noise", "kind": "gaussian", "sigma": 0.1, "hold": 1.0}
+_HUGE = 10 ** 400  # a JSON integer beyond the float range
+
+
 class TestValidationErrors:
     @pytest.mark.parametrize(
         "raw",
@@ -119,11 +123,45 @@ class TestValidationErrors:
             {"params": {"Im": 1e-5}},
             {"toggles": {"dz_hold_after_end": True}},
             {"sim": {"duration": 0.0105}},
+            # wrong exact types: booleans are not numbers, strings not booleans
+            {"toggles": {"position_do": "no"}},
+            {"sim": {"seed": True}},
+            {"sim": {"decimation": True}},
+            {"disturbances": {"z": {"type": "ramp", "offset": 0.1, "slope": 0.01, "end": 100.0,
+                                    "hold_after": "no"}}},
+            {"disturbances": {"roll": {**_GAUSSIAN, "seed": True}}},
+            {"params": {"m": True}},
+            {"gains": {"roll": {"p": True}}},
+            {"params": {"fixed_residual_speed": True}},
+            {"disturbances": {"roll": {**_GAUSSIAN, "sigma": True}}},
+            {"trajectory": {"type": "waypoints", "points": [[0, True, 2, 3]]}},
+            {"trajectory": {"type": "waypoints", "points": [["0", "1", "2", "3"]]}},
+            {"disturbances": {"x": {"type": ["none"]}}},
+            # unknown fields in disturbances and trajectories
+            {"disturbances": {"x": {"type": "sinusoid", "amplitude": 1.0, "omega": 0.1,
+                                    "phse": 0.5}}},
+            {"disturbances": {"roll": {**_GAUSSIAN, "sgima": 0.2}}},
+            {"trajectory": {"type": "helix", "points": [[0, 0, 0, 1]]}},
+            {"trajectory": {"type": "waypoints", "points": [[0, 0, 0, 1]], "speed": 2.0}},
+            # integers too large for a float
+            {"sim": {"duration": _HUGE}},
+            {"gains": {"roll": {"k": _HUGE}}},
+            {"params": {"m": _HUGE}},
+            {"psi_des": _HUGE},
+            {"initial_state": [_HUGE] + [0.0] * 11},
+            {"disturbances": {"x": {"type": "step", "value": _HUGE, "onset": 1.0}}},
+            {"trajectory": {"type": "waypoints", "points": [[0, _HUGE, 0, 1]]}},
+            {"sim": {"duration": 1e308}},  # duration/dt overflows to inf
         ],
     )
     def test_rejected(self, raw):
         with pytest.raises(ScenarioError):
             scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("change", [{"dt": 0.02}, {"trajectory": {"type": "parabola"}}])
+    def test_construction_validates(self, change):
+        with pytest.raises(ScenarioError):
+            dataclasses.replace(default_scenario(), **change)
 
 
 class TestFileLoading:
@@ -187,6 +225,33 @@ def _valid_overrides(draw):
     return {"params": params, "gains": gains, "sim": sim, "disturbances": disturbances}
 
 
+def _objects(d):
+    yield d
+    for value in d.values():
+        if isinstance(value, dict):
+            yield from _objects(value)
+
+
+# A value of each type found in a valid override -> a value of a type its field refuses:
+# a bool for a number, a string for a bool, a float for an int, a number for a tag.
+_WRONG_TYPE = {float: True, bool: "true", int: 1.0, type(None): "none", str: 1.0}
+
+
+@st.composite
+def _invalid_overrides(draw):
+    """A valid override with one wrong-typed value or one unknown key in some section."""
+    raw = copy.deepcopy(draw(_valid_overrides()))  # st.just shares its value between draws
+    objects = list(_objects(raw))
+    leaves = [(obj, key) for obj in objects for key, value in obj.items()
+              if not isinstance(value, dict)]
+    if draw(st.booleans()):
+        obj, key = draw(st.sampled_from(leaves))
+        obj[key] = _WRONG_TYPE[type(obj[key])]
+    else:
+        draw(st.sampled_from(objects))["bogus"] = 0.0
+    return raw
+
+
 class TestRoundTripProperty:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(_valid_overrides())
@@ -195,3 +260,9 @@ class TestRoundTripProperty:
         back = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
         assert back == sc
         assert scenario_digest(back) == scenario_digest(sc)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_invalid_overrides())
+    def test_wrong_type_or_unknown_field_is_rejected(self, raw):
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(raw)

@@ -43,7 +43,8 @@ class ChannelGains:
             ("m2", self.m2 > 0.0),
             ("beta1", self.beta1 > 0.0),
             ("beta2", self.beta2 > 0.0),
-            ("eps", 0.0 < self.eps <= 1.0),
+            # The HGO divides by eps * eps, so its square must not underflow to 0.
+            ("eps", 0.0 < self.eps <= 1.0 and self.eps * self.eps > 0.0),
         )
         for name, ok in checks:
             value = getattr(self, name)

@@ -6,7 +6,9 @@
 
 Exit codes: 0 success, 2 scenario validation failure or bad arguments,
 3 runtime guard abort or output failure (a sweep still runs its other members
-and writes sweep.json, recording the failed member with its error).
+and writes sweep.json, recording the failed member with its error).  Sweep
+values that would share a member directory, such as --vary sim.seed=1,1,
+are bad arguments: the sweep exits 2 before any member runs.
 """
 
 import argparse
@@ -126,6 +128,10 @@ def _sweep_command(args) -> int:
     try:
         base = scenario_to_dict(load_scenario(args.scenario))
         keys, values = _parse_vary(args.vary)
+        names = ["_".join(keys) + f"_{value}" for value in values]
+        shared = sorted({name for name in names if names.count(name) > 1})
+        if shared:
+            raise ScenarioError(f"--vary values share a member directory: {', '.join(shared)}")
         scenarios = []
         for value in values:
             sc_dict = copy.deepcopy(base)
@@ -136,7 +142,7 @@ def _sweep_command(args) -> int:
         return EXIT_SCENARIO
 
     out_root = Path(args.out)
-    out_dirs = [out_root / ("_".join(keys) + f"_{value}") for value in values]
+    out_dirs = [out_root / name for name in names]
     try:
         out_root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

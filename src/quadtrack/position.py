@@ -7,6 +7,7 @@ near free fall (U_z + g -> 0), which is guarded.
 """
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -99,7 +100,11 @@ def waypoint_trajectory(points: Sequence[Sequence[float]]):
     """Piecewise-linear trajectory through (t, x, y, z) rows.
 
     Times must be strictly increasing; the position is held constant before
-    the first and after the last waypoint.
+    the first and after the last waypoint.  Each call makes one bisection
+    for all three axes into a table of per-segment slopes and returns what
+    np.interp returns on each axis, bit for bit: the waypoint itself at a
+    waypoint time, slope * (t - t0) + p0 inside a segment, and np.interp's
+    recomputation from the segment end when that gives NaN.
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] < 1:
@@ -109,13 +114,35 @@ def waypoint_trajectory(points: Sequence[Sequence[float]]):
     times = arr[:, 0]
     if (times[1:] <= times[:-1]).any():
         raise ValueError("waypoint times must be strictly increasing")
-    xs, ys, zs = arr[:, 1], arr[:, 2], arr[:, 3]
+    times = times.tolist()
+    pts = [tuple(row) for row in arr[:, 1:].tolist()]
+    # Per segment j and axis: (p[j+1] - p[j]) / (t[j+1] - t[j]), as np.interp computes it.
+    slopes = [tuple((b - a) / (t1 - t0) for a, b in zip(p0, p1))
+              for t0, t1, p0, p1 in zip(times, times[1:], pts, pts[1:])]
+    last = len(times) - 1
 
     def trajectory(t: float):
-        return (
-            float(np.interp(t, times, xs)),
-            float(np.interp(t, times, ys)),
-            float(np.interp(t, times, zs)),
-        )
+        j = bisect_right(times, t) - 1
+        if j < 0:
+            return pts[0]
+        if j == last or t == times[j]:
+            return pts[j]
+        (x0, y0, z0), (sx, sy, sz) = pts[j], slopes[j]
+        h = t - times[j]
+        out = (sx * h + x0, sy * h + y0, sz * h + z0)
+        if out[0] == out[0] and out[1] == out[1] and out[2] == out[2]:
+            return out
+        return tuple(_interp_retry(v, s, t - times[j + 1], a, b)
+                     for v, s, a, b in zip(out, slopes[j], pts[j], pts[j + 1]))
 
     return trajectory
+
+
+def _interp_retry(value, slope, h1, p0, p1):
+    """np.interp's retry after a NaN: from the segment end, else a flat segment's value."""
+    if value == value:
+        return value
+    value = slope * h1 + p1
+    if value != value and p0 == p1:
+        return p0
+    return value

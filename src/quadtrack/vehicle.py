@@ -79,6 +79,11 @@ class QuadrotorParams:
 
 
 def _require_finite(values, what: str):
+    # A non-finite term makes the sum non-finite, so a finite sum clears
+    # every term at once; only a non-finite sum (which finite terms reach by
+    # overflowing it) needs the walk that names the culprit.
+    if math.isfinite(sum(values)):
+        return
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteError(f"non-finite value in {what}: {v!r}")
@@ -161,26 +166,22 @@ def mix_inputs_to_rotor_speeds(params: QuadrotorParams, u: ControlInputs) -> Mix
     rotor_speeds_to_inputs is exact.
     """
     _require_finite(u, "inputs")
-    total = u.up / params.b            # s1 + s2 + s3 + s4
-    roll = u.uphi / params.b           # s4 - s2
-    pitch = u.utheta / params.b        # s3 - s1
-    yaw = u.upsi / params.d            # s1 - s2 + s3 - s4
+    up, uphi, utheta, upsi = u
+    total = up / params.b              # s1 + s2 + s3 + s4
+    roll = uphi / params.b             # s4 - s2
+    pitch = utheta / params.b          # s3 - s1
+    yaw = upsi / params.d              # s1 - s2 + s3 - s4
     odd = 0.5 * (total + yaw)          # s1 + s3
     even = 0.5 * (total - yaw)         # s2 + s4
-    squared = (
-        0.5 * (odd - pitch),
-        0.5 * (even - roll),
-        0.5 * (odd + pitch),
-        0.5 * (even + roll),
-    )
-    clamped = False
-    speeds = []
-    for sq in squared:
-        if sq < 0.0:
-            clamped = True
-            sq = 0.0
-        speeds.append(math.sqrt(sq))
-    return MixResult(RotorSpeeds(*speeds), clamped)
+    s1 = 0.5 * (odd - pitch)
+    s2 = 0.5 * (even - roll)
+    s3 = 0.5 * (odd + pitch)
+    s4 = 0.5 * (even + roll)
+    clamped = s1 < 0.0 or s2 < 0.0 or s3 < 0.0 or s4 < 0.0
+    if clamped:
+        s1, s2, s3, s4 = (0.0 if sq < 0.0 else sq for sq in (s1, s2, s3, s4))
+    speeds = RotorSpeeds(math.sqrt(s1), math.sqrt(s2), math.sqrt(s3), math.sqrt(s4))
+    return MixResult(speeds, clamped)
 
 
 def residual_speed(params: QuadrotorParams, w: RotorSpeeds) -> float:

@@ -135,6 +135,12 @@ class TestGainValidation:
         with pytest.raises(ValueError):
             ChannelGains(**base)
 
+    def test_rejects_eps_whose_square_underflows(self):
+        # 1e-200 is in (0, 1], but the HGO would divide by 1e-200**2 == 0.0.
+        with pytest.raises(ValueError, match="eps"):
+            ChannelGains(p=1.0, k=1.0, lam=1.0, eps=1e-200)
+        assert ChannelGains(p=1.0, k=1.0, lam=1.0, eps=1e-150).eps == 1e-150
+
     def test_lyapunov_margin_not_enforced(self):
         # p and k below the 1/2 damping margin are accepted, as the stock
         # position gains (p = 0.1) need

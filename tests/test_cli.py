@@ -88,6 +88,15 @@ class TestSweep:
         index = json.loads((out / "sweep.json").read_text())
         assert len(index["runs"]) == 2
 
+    @pytest.mark.parametrize("vary", ["sim.seed=1,1", "psi_des=1e0,1.0"])
+    def test_sweep_values_sharing_a_directory_exit_2(self, tmp_path, short_scenario, capsys,
+                                                      vary):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(short_scenario), "--vary", vary,
+                     "--out", str(out)]) == 2
+        assert "share a member directory" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any member ran
+
     def test_sweep_bad_vary_exits_2(self, tmp_path, short_scenario):
         assert main(["sweep", "--scenario", str(short_scenario),
                      "--vary", "gains.roll.k", "--out", str(tmp_path / "s")]) == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtrack import (
     DenominatorTooSmallError,
@@ -108,6 +110,35 @@ class TestWaypointTrajectory:
         assert traj(5.0) == pytest.approx((1.0, -2.0, 2.0))
         assert traj(25.0) == pytest.approx((2.0, -4.0, 3.0))
         assert traj(-1.0) == pytest.approx((0.0, 0.0, 1.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_np_interp_exactly(self, data):
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        times = sorted(data.draw(st.lists(coord, min_size=1, max_size=6, unique=True)))
+        points = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=len(times),
+                                    max_size=len(times)))
+        table = np.array([[t, *p] for t, p in zip(times, points)])
+        inside = st.floats(times[0], times[-1])
+        outside = st.floats(1e-9, 1e3).flatmap(
+            lambda h: st.sampled_from([times[0] - h, times[-1] + h]))
+        queries = data.draw(st.lists(inside | st.sampled_from(times) | outside,
+                                     min_size=1, max_size=20))
+        traj = waypoint_trajectory(table.tolist())
+        for t in queries:
+            want = tuple(float(np.interp(t, table[:, 0], table[:, k])) for k in (1, 2, 3))
+            assert traj(t) == want, t
+
+    @pytest.mark.parametrize("rows, t", [
+        # t - t0 overflows to inf, so a flat axis gives 0 * inf = NaN at first
+        ([[-1e308, 0.0, 5.0, -1.0], [1e308, 0.0, 1e308, -1e308]], 0.9e308),
+        # the slope itself is inf / inf = NaN on the first axis
+        ([[-1e308, -1e308, 0.0, 0.0], [1e308, 1e308, 1.0, 0.0]], 0.5e308),
+    ])
+    def test_nan_retry_matches_np_interp(self, rows, t):
+        table = np.array(rows)
+        want = [np.interp(t, table[:, 0], table[:, k]) for k in (1, 2, 3)]
+        np.testing.assert_array_equal(waypoint_trajectory(rows)(t), want)
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):

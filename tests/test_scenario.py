@@ -152,6 +152,7 @@ class TestValidationErrors:
             {"disturbances": {"x": {"type": "step", "value": _HUGE, "onset": 1.0}}},
             {"trajectory": {"type": "waypoints", "points": [[0, _HUGE, 0, 1]]}},
             {"sim": {"duration": 1e308}},  # duration/dt overflows to inf
+            {"gains": {"roll": {"eps": 1e-200}}},  # eps * eps underflows to 0
         ],
     )
     def test_rejected(self, raw):

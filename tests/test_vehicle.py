@@ -88,6 +88,23 @@ class TestStateDerivative:
             state_derivative(PARAMS, level_state(), ControlInputs(1.0, math.inf, 0.0, 0.0),
                              0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["state", "inputs", "disturbance"])
+    def test_non_finite_message_names_the_value(self, where, bad):
+        args = {"state": level_state(), "inputs": [PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0],
+                "disturbance": [0.0] * 6}
+        args[where][1] = bad
+        with pytest.raises(NonFiniteError) as exc:
+            state_derivative(PARAMS, args["state"], ControlInputs(*args["inputs"]), 0.0,
+                             args["disturbance"])
+        assert str(exc.value) == f"non-finite value in {where}: {bad!r}"
+
+    def test_finite_values_whose_sum_overflows_pass(self):
+        # Two entries of 1e308 sum to inf; each is finite, so no check fires.
+        state_derivative(PARAMS, level_state(x8=1e308, x10=1e308),
+                         ControlInputs(1e308, 1e308, 0.0, 0.0), 0.0,
+                         (1e308, 1e308, 0.0, 0.0, 0.0, 0.0))
+
     def test_rejects_negative_thrust(self):
         with pytest.raises(ValueError):
             state_derivative(PARAMS, level_state(), ControlInputs(-1.0, 0.0, 0.0, 0.0),
@@ -138,6 +155,27 @@ class TestMixing:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
             mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(math.nan, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_message_names_the_value(self, bad):
+        with pytest.raises(NonFiniteError) as exc:
+            mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(1.0, 0.0, bad, 0.0))
+        assert str(exc.value) == f"non-finite value in inputs: {bad!r}"
+
+    def test_finite_inputs_whose_sum_overflows_pass(self):
+        mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(1e308, 1e308, 0.0, 0.0))
+
+    @pytest.mark.parametrize("uphi, utheta, speeds", [
+        (2.0, 0.0, (0.0, 0.0, 0.0, 1.0)),   # rotor 2 wants a square of -1
+        (-2.0, 0.0, (0.0, 1.0, 0.0, 0.0)),  # rotor 4
+        (0.0, 2.0, (0.0, 0.0, 1.0, 0.0)),   # rotor 1
+        (0.0, -2.0, (1.0, 0.0, 0.0, 0.0)),  # rotor 3
+    ])
+    def test_clamps_each_negative_square_alone(self, uphi, utheta, speeds):
+        u = ControlInputs(0.0, uphi * PARAMS.b, utheta * PARAMS.b, 0.0)
+        res = mix_inputs_to_rotor_speeds(PARAMS, u)
+        assert res.clamped
+        assert res.speeds == RotorSpeeds(*speeds)
 
 
 class TestResidualSpeed:

@@ -13,6 +13,7 @@ are bad arguments: the sweep exits 2 before any member runs.
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -51,17 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(sc_dict: dict, args) -> dict:
-    sim = sc_dict.setdefault("sim", {})
-    if args.dt is not None:
-        sim["dt"] = args.dt
-    if args.duration is not None:
-        sim["duration"] = args.duration
-    if args.seed is not None:
-        sim["seed"] = args.seed
-    return sc_dict
-
-
 def _execute(sc, out_dir: Path) -> dict:
     """Run sc into out_dir; an output failure comes back as {"completed": False, "error": ...}."""
     try:
@@ -75,8 +65,9 @@ def _execute(sc, out_dir: Path) -> dict:
 
 def _run_command(args) -> int:
     try:
-        sc_dict = scenario_to_dict(load_scenario(args.scenario))
-        sc = scenario_from_dict(_apply_overrides(sc_dict, args))
+        overrides = {name: value for name in ("dt", "duration", "seed")
+                     if (value := getattr(args, name)) is not None}
+        sc = dataclasses.replace(load_scenario(args.scenario), **overrides)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO

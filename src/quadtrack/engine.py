@@ -44,7 +44,7 @@ ClosedLoop is built, which is why __init__ may bind them.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
@@ -94,7 +94,7 @@ COLUMNS = (
     + ("e_x", "e_y", "e_z", "e_phi", "e_theta", "e_psi")
 )
 
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
 
 class ClosedLoop:
@@ -183,6 +183,12 @@ class ClosedLoop:
         st = a.tolist() if isinstance(a, np.ndarray) else list(a)
         if abs(st[0]) >= self._angle_limit or abs(st[2]) >= self._angle_limit:
             raise AngleGuardError(t, st[0], st[2])
+        # Checked whole before any leaf reads it: under oracle feedback no
+        # leaf check stands between a non-finite estimate and math.sin.
+        if not math.isfinite(sum(st)):
+            for i, v in enumerate(st):
+                if not math.isfinite(v):
+                    raise NonFiniteError(f"non-finite augmented state entry {i}: {v!r}")
 
         # Rig i of CHANNELS (roll, pitch, yaw, x, y, z) is f<i> below.
         params = self.params
@@ -302,7 +308,6 @@ class SimLog:
 
     columns: Tuple[str, ...]
     data: np.ndarray
-    dt: float
 
     def __len__(self):
         return self.data.shape[0]
@@ -319,7 +324,6 @@ class Metrics:
     settle_time: dict
     window: Tuple[float, float]
     clamp_events: int = 0
-    guard_events: int = 0
     completed: bool = True
     abort: Optional[dict] = None
 
@@ -377,12 +381,14 @@ def _empty_metrics() -> Metrics:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(sc: Scenario) -> RunResult:
     """Integrate the scenario from 0 to duration at fixed dt.
 
     Deterministic given the scenario (seeds included).  A guard violation
     aborts with the partial log and the diagnostic recorded in the metrics;
-    no exception escapes for runtime guards.
+    no exception escapes for runtime guards, and no numpy overflow or
+    invalid-value warning precedes the abort.
     """
     loop = ClosedLoop(sc)
     dt = sc.dt
@@ -406,70 +412,53 @@ def run_scenario(sc: Scenario) -> RunResult:
         except (AngleGuardError, DenominatorTooSmallError, NonFiniteError) as exc:
             abort = {"reason": type(exc).__name__, "t": t, "detail": str(exc)}
             break
-    log = SimLog(columns=COLUMNS, data=data[:rows].copy(), dt=dt)
+    log = SimLog(columns=COLUMNS, data=data[:rows])
     if rows:
         metrics = compute_rmse(log, (float(log.data[0, 0]), float(log.data[rows - 1, 0])))
     else:
         metrics = _empty_metrics()
     metrics.clamp_events = clamp_events
-    metrics.guard_events = 0 if abort is None else 1
     metrics.completed = abort is None
     metrics.abort = abort
     return RunResult(log, metrics)
 
 
 def write_trace(log: SimLog, path, decimation: int = 1):
-    """CSV trace: header row plus every decimation-th sample, 9 significant digits."""
+    """CSV trace: a line of column names, then every decimation-th row as comma-separated %.9g."""
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
-    path = Path(path)
     try:
-        with path.open("w", newline="") as fh:
-            fh.write(",".join(log.columns) + "\n")
-            for row in log.data[::decimation]:
-                fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+        with open(path, "w", newline="") as fh:
+            np.savetxt(fh, log.data[::decimation], fmt="%.9g", delimiter=",",
+                       header=",".join(log.columns), comments="")
     except OSError as exc:
         raise SimulationError(f"cannot write trace to {path}: {exc}") from exc
 
 
 def read_trace(path) -> SimLog:
-    """Read a trace written by write_trace."""
-    path = Path(path)
+    """Read a write_trace CSV; a header-only trace reads as a (0, len(columns)) array."""
     try:
-        with path.open() as fh:
-            header = fh.readline().strip()
-            body = [line for line in fh if line.strip()]
+        with open(path) as fh:
+            columns = tuple(fh.readline().strip().split(","))
+            body = fh.readlines()
     except OSError as exc:
         raise SimulationError(f"cannot read trace from {path}: {exc}") from exc
-    columns = tuple(header.split(","))
-    if body:
-        data = np.array([[float(v) for v in line.split(",")] for line in body])
-    else:
-        data = np.empty((0, len(columns)))
-    dt = float(data[1, 0] - data[0, 0]) if data.shape[0] >= 2 else 0.0
-    return SimLog(columns=columns, data=data, dt=dt)
+    if not body:
+        return SimLog(columns=columns, data=np.empty((0, len(columns))))
+    return SimLog(columns=columns, data=np.loadtxt(body, delimiter=",", ndmin=2))
 
 
 def write_summary(metrics: Metrics, sc: Scenario, path) -> dict:
-    """JSON run summary embedding the fully resolved scenario and its digest."""
+    """JSON summary: schema_version, seed, scenario_digest, scenario, then each Metrics field."""
     payload = {
         "schema_version": TRACE_SCHEMA_VERSION,
         "seed": sc.seed,
         "scenario_digest": scenario_digest(sc),
         "scenario": scenario_to_dict(sc),
-        "completed": metrics.completed,
-        "abort": metrics.abort,
-        "guard_events": metrics.guard_events,
-        "clamp_events": metrics.clamp_events,
-        "window": [metrics.window[0], metrics.window[1]],
-        "tracking_rmse": metrics.tracking_rmse,
-        "estimation_rmse": metrics.estimation_rmse,
-        "peak_abs_error": metrics.peak_abs_error,
-        "settle_time": metrics.settle_time,
+        **asdict(metrics),
     }
-    path = Path(path)
     try:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise SimulationError(f"cannot write summary to {path}: {exc}") from exc
     return payload

@@ -53,7 +53,6 @@ def extract_thrust_and_attitude(
     uy: float,
     uz: float,
     psi_des: float,
-    min_denominator: float = MIN_EXTRACTION_DENOMINATOR,
 ) -> AttitudeSetpoint:
     """Thrust and desired roll/pitch realizing the virtual accelerations.
 
@@ -65,8 +64,8 @@ def extract_thrust_and_attitude(
         if not math.isfinite(v):
             raise NonFiniteError(f"non-finite virtual control input: {v!r}")
     den = uz + params.g
-    if den < min_denominator:
-        raise DenominatorTooSmallError(den, min_denominator)
+    if den < MIN_EXTRACTION_DENOMINATOR:
+        raise DenominatorTooSmallError(den, MIN_EXTRACTION_DENOMINATOR)
     spsi, cpsi = math.sin(psi_des), math.cos(psi_des)
     theta_des = math.atan((ux * cpsi + uy * spsi) / den)
     phi_des = math.atan((ux * spsi - uy * cpsi) * math.cos(theta_des) / den)
@@ -103,22 +102,26 @@ def waypoint_trajectory(points: Sequence[Sequence[float]]):
     the first and after the last waypoint.  Each call makes one bisection
     for all three axes into a table of per-segment slopes and returns what
     np.interp returns on each axis, bit for bit: the waypoint itself at a
-    waypoint time, slope * (t - t0) + p0 inside a segment, and np.interp's
-    recomputation from the segment end when that gives NaN.
+    waypoint time and slope * (t - t0) + p0 inside a segment.  A table where
+    a segment's time span or per-axis difference overflows is rejected, so
+    that value is never NaN and np.interp's NaN retry never applies.
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] < 1:
         raise ValueError("waypoints must be a non-empty sequence of (t, x, y, z) rows")
     if not np.isfinite(arr).all():
         raise ValueError("waypoints must be finite")
-    times = arr[:, 0]
-    if (times[1:] <= times[:-1]).any():
+    rows = arr.tolist()
+    # Per segment j: row[j+1] - row[j], the time span then the three axis differences.
+    steps = [[b - a for a, b in zip(r0, r1)] for r0, r1 in zip(rows, rows[1:])]
+    if any(step[0] <= 0.0 for step in steps):
         raise ValueError("waypoint times must be strictly increasing")
-    times = times.tolist()
-    pts = [tuple(row) for row in arr[:, 1:].tolist()]
-    # Per segment j and axis: (p[j+1] - p[j]) / (t[j+1] - t[j]), as np.interp computes it.
-    slopes = [tuple((b - a) / (t1 - t0) for a, b in zip(p0, p1))
-              for t0, t1, p0, p1 in zip(times, times[1:], pts, pts[1:])]
+    if not all(math.isfinite(v) for step in steps for v in step):
+        raise ValueError("waypoint segment spans and differences must be finite")
+    times = [row[0] for row in rows]
+    pts = [tuple(row[1:]) for row in rows]
+    # Per segment and axis: difference / span, as np.interp computes the slope.
+    slopes = [tuple(d / span for d in diffs) for span, *diffs in steps]
     last = len(times) - 1
 
     def trajectory(t: float):
@@ -129,20 +132,6 @@ def waypoint_trajectory(points: Sequence[Sequence[float]]):
             return pts[j]
         (x0, y0, z0), (sx, sy, sz) = pts[j], slopes[j]
         h = t - times[j]
-        out = (sx * h + x0, sy * h + y0, sz * h + z0)
-        if out[0] == out[0] and out[1] == out[1] and out[2] == out[2]:
-            return out
-        return tuple(_interp_retry(v, s, t - times[j + 1], a, b)
-                     for v, s, a, b in zip(out, slopes[j], pts[j], pts[j + 1]))
+        return sx * h + x0, sy * h + y0, sz * h + z0
 
     return trajectory
-
-
-def _interp_retry(value, slope, h1, p0, p1):
-    """np.interp's retry after a NaN: from the segment end, else a flat segment's value."""
-    if value == value:
-        return value
-    value = slope * h1 + p1
-    if value != value and p0 == p1:
-        return p0
-    return value

@@ -24,7 +24,7 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["completed"] is True
         assert summary["seed"] == 0
-        assert summary["schema_version"] == 2
+        assert summary["schema_version"] == 3
         assert set(summary["tracking_rmse"]) == {"roll", "pitch", "yaw", "x", "y", "z"}
         assert summary["scenario"]["sim"]["duration"] == 0.2
         assert len(summary["scenario_digest"]) == 64

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from quadtrack import (
     DenominatorTooSmallError,
     QuadrotorParams,
+    ScenarioError,
     acceleration_from_attitude,
     extract_thrust_and_attitude,
     position_virtual_control,
     reference_trajectory,
+    scenario_from_dict,
     waypoint_trajectory,
 )
 
@@ -129,16 +131,19 @@ class TestWaypointTrajectory:
             want = tuple(float(np.interp(t, table[:, 0], table[:, k])) for k in (1, 2, 3))
             assert traj(t) == want, t
 
-    @pytest.mark.parametrize("rows, t", [
-        # t - t0 overflows to inf, so a flat axis gives 0 * inf = NaN at first
-        ([[-1e308, 0.0, 5.0, -1.0], [1e308, 0.0, 1e308, -1e308]], 0.9e308),
-        # the slope itself is inf / inf = NaN on the first axis
-        ([[-1e308, -1e308, 0.0, 0.0], [1e308, 1e308, 1.0, 0.0]], 0.5e308),
+    @pytest.mark.parametrize("rows", [
+        # the time span overflows (np.interp's first try gives 0 * inf = NaN)
+        [[-1e308, 0.0, 5.0, -1.0], [1e308, 0.0, 1e308, -1e308]],
+        # the span and the x difference overflow (np.interp's slope is inf / inf)
+        [[-1e308, -1e308, 0.0, 0.0], [1e308, 1e308, 1.0, 0.0]],
+        # only the z difference overflows
+        [[0.0, 0.0, 0.0, -1e308], [1.0, 0.0, 0.0, 1e308]],
     ])
-    def test_nan_retry_matches_np_interp(self, rows, t):
-        table = np.array(rows)
-        want = [np.interp(t, table[:, 0], table[:, k]) for k in (1, 2, 3)]
-        np.testing.assert_array_equal(waypoint_trajectory(rows)(t), want)
+    def test_rejects_segments_that_overflow(self, rows):
+        with pytest.raises(ValueError, match="must be finite"):
+            waypoint_trajectory(rows)
+        with pytest.raises(ScenarioError, match="bad waypoints"):
+            scenario_from_dict({"trajectory": {"type": "waypoints", "points": rows}})
 
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from .attitude import (
     attitude_coupling,
     attitude_input_gain,
     attitude_torque,
-    auxiliary_control,
     channel_errors,
 )
 from .disturbances import (
@@ -30,7 +29,6 @@ from .engine import (
     COLUMNS,
     ClosedLoop,
     Metrics,
-    RunResult,
     SimLog,
     compute_rmse,
     read_trace,
@@ -49,7 +47,6 @@ from .errors import (
 from .filters import command_filter_derivative, first_order_filter_derivative
 from .observers import do_derivative, do_estimate, hgo_derivative
 from .position import (
-    AttitudeSetpoint,
     acceleration_from_attitude,
     extract_thrust_and_attitude,
     position_virtual_control,
@@ -59,7 +56,6 @@ from .position import (
 from .scenario import (
     CHANNELS,
     Scenario,
-    Toggles,
     default_scenario,
     load_scenario,
     scenario_digest,
@@ -68,14 +64,11 @@ from .scenario import (
 )
 from .vehicle import (
     ControlInputs,
-    MixResult,
     QuadrotorParams,
     RotorSpeeds,
     mix_inputs_to_rotor_speeds,
     residual_speed,
-    rotor_speeds_to_inputs,
     state_derivative,
-    virtual_from_angles,
 )
 
 __version__ = "0.1.0"

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .vehicle import QuadrotorParams
 
-ATTITUDE_AXES = ("roll", "pitch", "yaw")
-
 
 @dataclass(frozen=True)
 class ChannelGains:
@@ -52,25 +50,19 @@ class ChannelGains:
                 raise ValueError(f"ChannelGains.{name} out of range: {value}")
 
 
-def auxiliary_control(p: float, xi1: float, z2: float) -> float:
-    """Rate command nu = -p xi1 + z2 (feedback plus reference-rate feedforward)."""
-    return -p * xi1 + z2
-
-
 def channel_errors(
     p: float, xhat1: float, xhat2: float, z1: float, z2: float, sigma: float
 ):
-    """Error set (xi1, xi2, e1, nu) for one channel, evaluated at estimates.
+    """Error set (xi1, xi2, nu) for one channel, evaluated at estimates.
 
     xi1 = xhat1 - z1 is the tracking error against the filtered reference,
-    xi2 = xhat2 - sigma - z2 the rate error against the filtered auxiliary
-    control plus reference rate, and e1 = sigma - nu the lag boundary error.
+    nu = -p xi1 + z2 the auxiliary rate command, and xi2 = xhat2 - sigma - z2
+    the rate error against the filtered auxiliary control plus reference rate.
     """
     xi1 = xhat1 - z1
-    nu = auxiliary_control(p, xi1, z2)
+    nu = -p * xi1 + z2
     xi2 = xhat2 - sigma - z2
-    e1 = sigma - nu
-    return xi1, xi2, e1, nu
+    return xi1, xi2, nu
 
 
 def attitude_coupling(

@@ -44,6 +44,7 @@ ClosedLoop is built, which is why __init__ may bind them.
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
@@ -51,11 +52,9 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .attitude import (
-    ATTITUDE_AXES,
     attitude_coupling,
     attitude_input_gain,
     attitude_torque,
-    auxiliary_control,
     channel_errors,
 )
 from .disturbances import make_generator
@@ -115,7 +114,7 @@ class ClosedLoop:
             laws.append((g.k, g.tau))
             observers.append((base, 2 * i, g.beta1, g.beta2, g.eps, g.lam))
         self._fronts, self._laws, self._observers = tuple(fronts), tuple(laws), tuple(observers)
-        self._att_gain = tuple(attitude_input_gain(ax, self.params) for ax in ATTITUDE_AXES)
+        self._att_gain = tuple(attitude_input_gain(ax, self.params) for ax in CHANNELS[:3])
         if scenario.trajectory["type"] == "helix":
             self._traj = reference_trajectory
         else:
@@ -147,7 +146,7 @@ class ClosedLoop:
         for i, (base, out, p, _, _, _, lam) in enumerate(self._fronts):
             measured = a[out]
             ref = measured if i < 3 else refs0[i - 3]
-            nu = auxiliary_control(p, measured - ref, 0.0)
+            _, _, nu = channel_errors(p, measured, 0.0, ref, 0.0, 0.0)
             fb2 = a[out + 1] if self._tsf else 0.0
             # The lag filter starts at its input, gamma at a zero estimate.
             a[base:base + RIG_SIZE] = (ref, 0.0, nu, measured, 0.0, -lam * fb2)
@@ -175,7 +174,7 @@ class ClosedLoop:
         dz1, dz2 = command_filter_derivative(z1, z2, m1, m2, ref)
         if self._tsf:
             fb1, fb2 = st[out], st[out + 1]
-        xi1, xi2, _, nu = channel_errors(p, fb1, fb2, z1, z2, sg)
+        xi1, xi2, nu = channel_errors(p, fb1, fb2, z1, z2, sg)
         dsg = first_order_filter_derivative(sg, nu, tau)
         return dz1, dz2, dsg, xi1, xi2, nu, sg, do_estimate(gm, lam, fb2), fb2
 
@@ -372,15 +371,6 @@ def compute_rmse(log: SimLog, window: Tuple[float, float]) -> Metrics:
     return Metrics(tracking_rmse, estimation_rmse, peaks, settle, (float(t0), float(t1)))
 
 
-def _empty_metrics() -> Metrics:
-    nan = float("nan")
-    return Metrics(
-        {ch: nan for ch in CHANNELS}, {ch: nan for ch in CHANNELS},
-        {ch: nan for ch in CHANNELS}, {ch: None for ch in CHANNELS},
-        (nan, nan),
-    )
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def run_scenario(sc: Scenario) -> RunResult:
     """Integrate the scenario from 0 to duration at fixed dt.
@@ -416,7 +406,12 @@ def run_scenario(sc: Scenario) -> RunResult:
     if rows:
         metrics = compute_rmse(log, (float(log.data[0, 0]), float(log.data[rows - 1, 0])))
     else:
-        metrics = _empty_metrics()
+        nan = float("nan")
+        metrics = Metrics(
+            {ch: nan for ch in CHANNELS}, {ch: nan for ch in CHANNELS},
+            {ch: nan for ch in CHANNELS}, {ch: None for ch in CHANNELS},
+            (nan, nan),
+        )
     metrics.clamp_events = clamp_events
     metrics.completed = abort is None
     metrics.abort = abort
@@ -436,7 +431,10 @@ def write_trace(log: SimLog, path, decimation: int = 1):
 
 
 def read_trace(path) -> SimLog:
-    """Read a write_trace CSV; a header-only trace reads as a (0, len(columns)) array."""
+    """Read a write_trace CSV; a header-only trace reads as a (0, len(columns)) array.
+
+    A body that is not one value per column on every line raises SimulationError.
+    """
     try:
         with open(path) as fh:
             columns = tuple(fh.readline().strip().split(","))
@@ -445,7 +443,17 @@ def read_trace(path) -> SimLog:
         raise SimulationError(f"cannot read trace from {path}: {exc}") from exc
     if not body:
         return SimLog(columns=columns, data=np.empty((0, len(columns))))
-    return SimLog(columns=columns, data=np.loadtxt(body, delimiter=",", ndmin=2))
+    try:
+        # loadtxt skips blank lines, warning if that leaves nothing; the shape check rejects them.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(body, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise SimulationError(f"cannot parse trace {path}: {exc}") from exc
+    if data.shape != (len(body), len(columns)):
+        raise SimulationError(f"trace {path}: {len(body)} lines of {len(columns)} columns "
+                              f"read as a {data.shape} table")
+    return SimLog(columns=columns, data=data)
 
 
 def write_summary(metrics: Metrics, sc: Scenario, path) -> dict:

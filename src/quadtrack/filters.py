@@ -10,25 +10,16 @@ control together with its derivative (nu - sigma)/tau.
 import math
 
 
-def sign(v: float) -> float:
-    """Sign with sign(0) = 0, so a converged filter is an exact equilibrium."""
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
-
-
 def command_filter_derivative(z1: float, z2: float, m1: float, m2: float, ref: float):
     """Derivatives (dz1, dz2) of the super-twisting command filter.
 
     z1 chases ref in finite time and z2 recovers the reference rate.  m1
     scales the square-root correction; m2 bounds the steepest reference
-    slope the filter can follow.  The discontinuous sign is kept exact; under
-    fixed-step integration the residual chatter in z2 is bounded by m2*dt.
+    slope the filter can follow.  sign(0) = 0 makes convergence an exact
+    equilibrium; under fixed-step integration z2 chatters within m2*dt.
     """
     err = z1 - ref
-    s = sign(err)
+    s = 1.0 if err > 0.0 else -1.0 if err < 0.0 else 0.0
     dz1 = -m1 * math.sqrt(abs(err)) * s + z2
     dz2 = -m2 * s
     return dz1, dz2

@@ -8,24 +8,15 @@ near free fall (U_z + g -> 0), which is guarded.
 
 import math
 from bisect import bisect_right
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DenominatorTooSmallError, NonFiniteError
-from .vehicle import QuadrotorParams, virtual_from_angles
-
-POSITION_AXES = ("x", "y", "z")
+from .vehicle import QuadrotorParams
 
 # Below this U_z + g value [m/s^2] the attitude extraction is rejected.
 MIN_EXTRACTION_DENOMINATOR = 0.1
-
-
-class AttitudeSetpoint(NamedTuple):
-    phi_des: float    # desired roll [rad], inside (-pi/2, pi/2)
-    theta_des: float  # desired pitch [rad], inside (-pi/2, pi/2)
-    psi_des: float    # desired yaw [rad], passed through
-    up: float         # total thrust [N], nonnegative
 
 
 def position_virtual_control(
@@ -53,8 +44,8 @@ def extract_thrust_and_attitude(
     uy: float,
     uz: float,
     psi_des: float,
-) -> AttitudeSetpoint:
-    """Thrust and desired roll/pitch realizing the virtual accelerations.
+):
+    """(phi_des, theta_des, psi_des, up) realizing the virtual accelerations.
 
     Pitch comes first, then roll using the pitch result, then thrust using
     both; the atan range keeps the angles inside (-pi/2, pi/2).  Raises
@@ -70,7 +61,7 @@ def extract_thrust_and_attitude(
     theta_des = math.atan((ux * cpsi + uy * spsi) / den)
     phi_des = math.atan((ux * spsi - uy * cpsi) * math.cos(theta_des) / den)
     up = params.m * den / (math.cos(phi_des) * math.cos(theta_des))
-    return AttitudeSetpoint(phi_des, theta_des, psi_des, up)
+    return phi_des, theta_des, psi_des, up
 
 
 def acceleration_from_attitude(
@@ -78,12 +69,17 @@ def acceleration_from_attitude(
 ):
     """Translational acceleration (ax, ay, az) produced by attitude + thrust.
 
-    This is the forward model that extract_thrust_and_attitude inverts; the
-    round trip is exact away from the free-fall guard.
+    This is the forward model that extract_thrust_and_attitude inverts.  The
+    round trip returns each virtual acceleration within 4 eps acc**2/(uz + g),
+    acc = up/m and eps the float64 epsilon: to rounding, not exactly.
     """
-    gx, gy = virtual_from_angles(phi, theta, psi)
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    stheta = math.sin(theta)
+    spsi, cpsi = math.sin(psi), math.cos(psi)
     acc = up / params.m
-    return gx * acc, gy * acc, math.cos(phi) * math.cos(theta) * acc - params.g
+    return ((cphi * stheta * cpsi + sphi * spsi) * acc,
+            (cphi * stheta * spsi - sphi * cpsi) * acc,
+            cphi * math.cos(theta) * acc - params.g)
 
 
 def reference_trajectory(t: float):

@@ -144,26 +144,13 @@ def state_derivative(
     )
 
 
-def rotor_speeds_to_inputs(params: QuadrotorParams, w: RotorSpeeds) -> ControlInputs:
-    """Forward mixing: rotor speeds [rad/s] to the four physical inputs."""
-    _require_finite(w, "rotor speeds")
-    if any(wi < 0.0 for wi in w):
-        raise ValueError(f"rotor speeds must be nonnegative, got {tuple(w)}")
-    s1, s2, s3, s4 = (wi * wi for wi in w)
-    return ControlInputs(
-        up=params.b * (s1 + s2 + s3 + s4),
-        uphi=params.b * (s4 - s2),
-        utheta=params.b * (s3 - s1),
-        upsi=params.d * (s1 - s2 + s3 - s4),
-    )
-
-
 def mix_inputs_to_rotor_speeds(params: QuadrotorParams, u: ControlInputs) -> MixResult:
     """Invert the mixing for the squared speeds, clamping negatives to zero.
 
     The clamp is saturation, not an error: the result is flagged so callers
-    can count events.  Without clamping the round trip through
-    rotor_speeds_to_inputs is exact.
+    can count events.  Without clamping, the forward mixing of the module
+    docstring maps the speeds back to u within 8 eps up on the forces and
+    8 eps (d/b) up on the yaw torque (eps: float64 epsilon), not exactly.
     """
     _require_finite(u, "inputs")
     up, uphi, utheta, upsi = u
@@ -189,17 +176,3 @@ def residual_speed(params: QuadrotorParams, w: RotorSpeeds) -> float:
     if params.fixed_residual_speed is not None:
         return params.fixed_residual_speed
     return -w.w1 + w.w2 - w.w3 + w.w4
-
-
-def virtual_from_angles(phi: float, theta: float, psi: float):
-    """Direction cosines mapping thrust to x/y acceleration (dimensionless).
-
-    These are the two horizontal entries of the body-z column of the rotation
-    matrix, so each output lies in [-1, 1].
-    """
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    stheta = math.sin(theta)
-    spsi, cpsi = math.sin(psi), math.cos(psi)
-    ux = cphi * stheta * cpsi + sphi * spsi
-    uy = cphi * stheta * spsi - sphi * cpsi
-    return ux, uy

@@ -7,7 +7,6 @@ from quadtrack import (
     attitude_coupling,
     attitude_input_gain,
     attitude_torque,
-    auxiliary_control,
     channel_errors,
 )
 from support import simulate_roll_regulation
@@ -15,38 +14,27 @@ from support import simulate_roll_regulation
 PARAMS = QuadrotorParams()
 
 
-class TestAuxiliaryControl:
-    def test_zero(self):
-        assert auxiliary_control(100.0, 0.0, 0.0) == 0.0
-
-    def test_proportional_term(self):
-        assert auxiliary_control(100.0, 0.01, 0.0) == pytest.approx(-1.0)
-
-    def test_feedforward_pass_through(self):
-        assert auxiliary_control(100.0, 0.0, 0.5) == 0.5
-
-
 class TestChannelErrors:
     def test_perfect_tracking(self):
-        xi1, xi2, e1, nu = channel_errors(100.0, 0.2, 0.35, 0.2, 0.3, 0.05)
+        xi1, xi2, nu = channel_errors(100.0, 0.2, 0.35, 0.2, 0.3, 0.05)
         assert xi1 == 0.0
         assert xi2 == pytest.approx(0.0)
-        assert e1 == 0.05 - nu
+        assert nu == 0.3
 
     def test_output_error(self):
-        xi1, _, _, _ = channel_errors(1.0, 0.1, 0.0, 0.0, 0.0, 0.0)
+        xi1, _, nu = channel_errors(1.0, 0.1, 0.0, 0.0, 0.0, 0.0)
         assert xi1 == pytest.approx(0.1)
+        assert nu == pytest.approx(-0.1)
 
     def test_definitions_consistent(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             p, xh1, xh2, z1, z2, sg = rng.normal(0.0, 2.0, 6)
             p = abs(p) + 0.1
-            xi1, xi2, e1, nu = channel_errors(p, xh1, xh2, z1, z2, sg)
+            xi1, xi2, nu = channel_errors(p, xh1, xh2, z1, z2, sg)
             assert xi1 == xh1 - z1
             assert xi2 == xh2 - sg - z2
             assert nu == -p * xi1 + z2
-            assert e1 == sg - nu
 
 
 class TestTorqueLaw:

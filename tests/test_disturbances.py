@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtrack import (
     BandLimitedNoise,
@@ -99,6 +101,22 @@ class TestSampledNoise:
     def test_band_limited_requires_hold(self):
         with pytest.raises(ValueError):
             noise_boundary_values(BandLimitedNoise(1e-3, 0.1), 5, 10)
+
+    # A shorter draw with the same seed is a bitwise prefix of a longer one,
+    # so a short run sees the noise of the start of a long run.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kind=st.one_of(
+               st.builds(GaussianNoise, st.floats(0.0, 10.0)),
+               st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2).map(
+                   lambda bounds: UniformNoise(*sorted(bounds))),
+               st.builds(BandLimitedNoise, st.floats(0.0, 10.0), st.floats(1e-3, 1.0))),
+           seed=st.integers(0, 2**32 - 1),
+           hold=st.floats(1e-3, 0.5),
+           counts=st.lists(st.integers(0, 300), min_size=2, max_size=2).map(sorted))
+    def test_shorter_draw_is_a_prefix(self, kind, seed, hold, counts):
+        short, long = counts
+        head = noise_boundary_values(kind, seed, short, hold)
+        assert head.tobytes() == noise_boundary_values(kind, seed, long, hold)[:short].tobytes()
 
 
 class TestSpecValidation:

@@ -15,6 +15,7 @@ from quadtrack import (
     NonFiniteError,
     QuadrotorParams,
     SimLog,
+    SimulationError,
     compute_rmse,
     default_scenario,
     read_trace,
@@ -399,6 +400,19 @@ class TestTraceIo:
         path = tmp_path / "trace.csv"
         write_trace(log, path, decimation=10)
         assert len(read_trace(path)) == 11
+
+    # Bodies under the header "a,b,c" that are not a table of three columns.
+    @pytest.mark.parametrize("body", [
+        "1,2,3\n4,5\n6,7,8\n",      # a ragged line
+        "1,2,3\n   \n4,5,6\n",      # a whitespace-only line
+        "\n\n",                     # blank lines only
+        "1,2\n3,4\n",               # fewer columns than the header
+    ], ids=["ragged", "whitespace", "blank", "narrow"])
+    def test_malformed_body_raises_simulation_error(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        path.write_text("a,b,c\n" + body)
+        with pytest.raises(SimulationError):
+            read_trace(path)
 
 
 class TestSummary:

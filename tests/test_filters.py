@@ -66,6 +66,19 @@ class TestCommandFilter:
         assert settle <= 1.0
         assert err[-1] < 1e-2
 
+    @pytest.mark.parametrize("m1, m2, dt", [(1.0, 1.0, 1e-3), (1.0, 0.1, 1e-3), (1.0, 1.0, 5e-4)])
+    def test_chatter_bounded_by_m2_dt(self, m1, m2, dt):
+        # The docstring's bound (Levant, Automatica 1998).  Each RK4 stage
+        # rate |dz2| is at most m2, so one step moves z2 by at most m2*dt, up
+        # to the rounding of z2 itself.  The filter settles on the constant
+        # reference within 3 s and then chatters: measured tail peaks of
+        # 0.67, 1.0 (0.99999999999994) and 0.33 of m2*dt for these cases.
+        out = integrate_command_filter(lambda t: 1.0, m1, m2, t_end=10.0, dt=dt)
+        z2 = out[:, 2]
+        assert np.abs(z2[out[:, 0] >= 5.0]).max() <= m2 * dt
+        ulps = np.spacing(np.maximum(np.abs(z2[1:]), np.abs(z2[:-1])))
+        assert np.all(np.abs(np.diff(z2)) <= m2 * dt + 4.0 * ulps)
+
 
 class TestFirstOrderFilter:
     def test_fixed_point(self):

@@ -18,6 +18,7 @@ from quadtrack import (
 )
 
 PARAMS = QuadrotorParams()
+EPS = np.finfo(float).eps
 
 
 class TestVirtualControlLaw:
@@ -33,42 +34,42 @@ class TestVirtualControlLaw:
 
 class TestThrustAttitudeExtraction:
     def test_level_hover(self):
-        sp = extract_thrust_and_attitude(PARAMS, 0.0, 0.0, 0.0, 0.0)
-        assert sp.phi_des == 0.0 and sp.theta_des == 0.0
-        assert sp.up == pytest.approx(6.3765, abs=1e-8)
+        phi, theta, _, up = extract_thrust_and_attitude(PARAMS, 0.0, 0.0, 0.0, 0.0)
+        assert phi == 0.0 and theta == 0.0
+        assert up == pytest.approx(6.3765, abs=1e-8)
 
     def test_forward_acceleration(self):
-        sp = extract_thrust_and_attitude(PARAMS, PARAMS.g, 0.0, 0.0, 0.0)
-        assert sp.theta_des == pytest.approx(math.pi / 4)
-        assert sp.phi_des == pytest.approx(0.0, abs=1e-15)
-        assert sp.up == pytest.approx(PARAMS.m * PARAMS.g * math.sqrt(2), rel=1e-9)
-        assert sp.up == pytest.approx(9.0177, abs=2e-4)
+        phi, theta, _, up = extract_thrust_and_attitude(PARAMS, PARAMS.g, 0.0, 0.0, 0.0)
+        assert theta == pytest.approx(math.pi / 4)
+        assert phi == pytest.approx(0.0, abs=1e-15)
+        assert up == pytest.approx(PARAMS.m * PARAMS.g * math.sqrt(2), rel=1e-9)
+        assert up == pytest.approx(9.0177, abs=2e-4)
 
-    def test_round_trip_against_forward_model(self):
-        rng = np.random.default_rng(21)
-        for _ in range(1000):
-            ux, uy = rng.uniform(-5.0, 5.0, 2)
-            uz = rng.uniform(-PARAMS.g + 0.5, 10.0)
-            psi = rng.uniform(-math.pi, math.pi)
-            sp = extract_thrust_and_attitude(PARAMS, ux, uy, uz, psi)
-            ax, ay, az = acceleration_from_attitude(PARAMS, sp.phi_des, sp.theta_des,
-                                                    psi, sp.up)
-            assert ax == pytest.approx(ux, rel=1e-9, abs=1e-9)
-            assert ay == pytest.approx(uy, rel=1e-9, abs=1e-9)
-            assert az == pytest.approx(uz, rel=1e-9, abs=1e-9)
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-PARAMS.g + 0.2, 1e3),
+           st.floats(-math.pi, math.pi))
+    def test_round_trip_against_forward_model(self, ux, uy, uz, psi):
+        # The bound the acceleration_from_attitude docstring states.
+        phi, theta, psi_des, up = extract_thrust_and_attitude(PARAMS, ux, uy, uz, psi)
+        assert psi_des == psi
+        acc = up / PARAMS.m
+        bound = 4.0 * EPS * acc * acc / (uz + PARAMS.g)
+        back = acceleration_from_attitude(PARAMS, phi, theta, psi, up)
+        for got, want in zip(back, (ux, uy, uz)):
+            assert abs(got - want) <= bound
 
     def test_angles_always_inside_validity_range(self):
         rng = np.random.default_rng(22)
         for _ in range(200):
-            sp = extract_thrust_and_attitude(
+            phi, theta, _, up = extract_thrust_and_attitude(
                 PARAMS, rng.uniform(-50, 50), rng.uniform(-50, 50),
                 rng.uniform(-PARAMS.g + 0.2, 50), rng.uniform(-math.pi, math.pi))
-            assert abs(sp.phi_des) < math.pi / 2
-            assert abs(sp.theta_des) < math.pi / 2
-            assert sp.up >= 0.0
+            assert abs(phi) < math.pi / 2
+            assert abs(theta) < math.pi / 2
+            assert up >= 0.0
 
     def test_thrust_increases_with_vertical_demand(self):
-        ups = [extract_thrust_and_attitude(PARAMS, 1.0, -2.0, uz, 0.3).up
+        ups = [extract_thrust_and_attitude(PARAMS, 1.0, -2.0, uz, 0.3)[3]
                for uz in np.linspace(-5.0, 10.0, 40)]
         assert all(a < b for a, b in zip(ups, ups[1:]))
 

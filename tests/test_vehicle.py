@@ -2,20 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtrack import (
     ControlInputs,
     NonFiniteError,
     QuadrotorParams,
     RotorSpeeds,
+    acceleration_from_attitude,
     mix_inputs_to_rotor_speeds,
     residual_speed,
-    rotor_speeds_to_inputs,
     state_derivative,
-    virtual_from_angles,
 )
+from support import rotor_speeds_to_inputs
 
 PARAMS = QuadrotorParams()
+EPS = np.finfo(float).eps
 
 
 def level_state(**kw):
@@ -136,16 +139,17 @@ class TestMixing:
         assert res.speeds == RotorSpeeds(0.0, 0.0, 0.0, 0.0)
         assert not res.clamped
 
-    def test_round_trip_on_feasible_inputs(self):
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            w = RotorSpeeds(*rng.uniform(100.0, 900.0, 4))
-            u = rotor_speeds_to_inputs(PARAMS, w)
-            res = mix_inputs_to_rotor_speeds(PARAMS, u)
-            assert not res.clamped
-            u2 = rotor_speeds_to_inputs(PARAMS, res.speeds)
-            for a, b in zip(u, u2):
-                assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(*[st.floats(1.0, 2000.0)] * 4))
+    def test_round_trip_on_feasible_inputs(self, w):
+        # The bound the mix_inputs_to_rotor_speeds docstring states.
+        u = rotor_speeds_to_inputs(PARAMS, w)
+        res = mix_inputs_to_rotor_speeds(PARAMS, u)
+        assert not res.clamped
+        back = rotor_speeds_to_inputs(PARAMS, res.speeds)
+        scale = (u.up, u.up, u.up, u.up * PARAMS.d / PARAMS.b)
+        for want, got, s in zip(u, back, scale):
+            assert abs(got - want) <= 8.0 * EPS * s
 
     def test_clamping_flagged(self):
         # Torque demand far beyond the thrust budget forces negative squares.
@@ -190,6 +194,11 @@ class TestResidualSpeed:
         assert residual_speed(p, RotorSpeeds(1.0, 2.0, 3.0, 4.0)) == 0.0
         p = QuadrotorParams(fixed_residual_speed=12.5)
         assert residual_speed(p, RotorSpeeds(9.0, 9.0, 9.0, 9.0)) == 12.5
+
+
+def virtual_from_angles(phi, theta, psi):
+    """Horizontal thrust direction cosines: the x/y acceleration per unit thrust acceleration."""
+    return acceleration_from_attitude(PARAMS, phi, theta, psi, PARAMS.m)[:2]
 
 
 class TestVirtualFromAngles:

@@ -6,13 +6,7 @@ nonlinear disturbance observer and a high-gain observer per channel, a
 trace output.
 """
 
-from .attitude import (
-    ChannelGains,
-    attitude_coupling,
-    attitude_input_gain,
-    attitude_torque,
-    channel_errors,
-)
+from .attitude import ChannelGains, attitude_torque, channel_errors
 from .disturbances import (
     BandLimitedNoise,
     GaussianNoise,
@@ -47,7 +41,6 @@ from .errors import (
 from .filters import command_filter_derivative, first_order_filter_derivative
 from .observers import do_derivative, do_estimate, hgo_derivative
 from .position import (
-    acceleration_from_attitude,
     extract_thrust_and_attitude,
     position_virtual_control,
     reference_trajectory,
@@ -66,6 +59,9 @@ from .vehicle import (
     ControlInputs,
     QuadrotorParams,
     RotorSpeeds,
+    acceleration_from_attitude,
+    attitude_coupling,
+    attitude_input_gain,
     mix_inputs_to_rotor_speeds,
     residual_speed,
     state_derivative,

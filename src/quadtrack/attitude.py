@@ -3,13 +3,14 @@
 Each axis runs the same machinery: a command filter smoothing the desired
 angle, a tracking error xi1, an auxiliary rate command nu, a first-order
 lag sigma on nu, a rate error xi2, and a torque law that cancels the known
-gyroscopic coupling and the estimated disturbance.
+gyroscopic coupling and the estimated disturbance.  The coupling and the
+input gain are the plant's own model functions, imported from vehicle.
 """
 
 import math
 from dataclasses import dataclass
 
-from .vehicle import QuadrotorParams
+from .vehicle import QuadrotorParams, attitude_coupling, attitude_input_gain
 
 
 @dataclass(frozen=True)
@@ -63,34 +64,6 @@ def channel_errors(
     nu = -p * xi1 + z2
     xi2 = xhat2 - sigma - z2
     return xi1, xi2, nu
-
-
-def attitude_coupling(
-    axis: str, params: QuadrotorParams, rate_a: float, rate_b: float, omega_r: float
-) -> float:
-    """Torque-free angular acceleration of one axis [rad/s^2].
-
-    Rate arguments by axis: roll -> (pitch rate, yaw rate),
-    pitch -> (roll rate, yaw rate), yaw -> (roll rate, pitch rate).
-    """
-    if axis == "roll":
-        return ((params.Iy - params.Iz) * rate_a * rate_b + params.Ir * omega_r * rate_a) / params.Ix
-    if axis == "pitch":
-        return ((params.Iz - params.Ix) * rate_a * rate_b - params.Ir * omega_r * rate_a) / params.Iy
-    if axis == "yaw":
-        return (params.Ix - params.Iy) * rate_a * rate_b / params.Iz
-    raise ValueError(f"unknown attitude axis: {axis!r}")
-
-
-def attitude_input_gain(axis: str, params: QuadrotorParams) -> float:
-    """Gain from the channel input to angular acceleration [1/(kg m)] or [1/(kg m^2)]."""
-    if axis == "roll":
-        return params.l / params.Ix
-    if axis == "pitch":
-        return params.l / params.Iy
-    if axis == "yaw":
-        return 1.0 / params.Iz
-    raise ValueError(f"unknown attitude axis: {axis!r}")
 
 
 def attitude_torque(

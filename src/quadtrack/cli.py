@@ -4,9 +4,9 @@
     quadtrack sweep --scenario mission.json --vary gains.roll.k=100,120,140 \
                     --out sweeps/ [--jobs 4]
 
-Exit codes: 0 success, 2 scenario validation failure or bad arguments,
-3 runtime guard abort or output failure (a sweep still runs its other members
-and writes sweep.json, recording the failed member with its error).  Sweep
+Exit codes: 0 success, 2 scenario validation failure or bad arguments, 3 runtime
+guard abort, output failure or a run out of memory (a sweep still runs its other
+members and writes sweep.json, recording the failed member with its error).  Sweep
 values that would share a member directory, such as --vary sim.seed=1,1,
 are bad arguments: the sweep exits 2 before any member runs.
 """
@@ -53,14 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _execute(sc, out_dir: Path) -> dict:
-    """Run sc into out_dir; an output failure comes back as {"completed": False, "error": ...}."""
+    """Run sc into out_dir; an output or memory failure gives {"completed": False, "error": ...}."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         log, metrics = run_scenario(sc)
         write_trace(log, out_dir / "trace.csv", decimation=sc.decimation)
         return write_summary(metrics, sc, out_dir / "summary.json")
-    except (OSError, SimulationError) as exc:
-        return {"completed": False, "error": f"{type(exc).__name__}: {exc}"}
+    except (OSError, SimulationError, MemoryError) as exc:
+        what = "out of memory" if isinstance(exc, MemoryError) else "output error"
+        return {"completed": False, "error": f"{what}: {type(exc).__name__}: {exc}"}
 
 
 def _run_command(args) -> int:
@@ -73,7 +74,7 @@ def _run_command(args) -> int:
         return EXIT_SCENARIO
     summary = _execute(sc, Path(args.out))
     if "error" in summary:
-        print(f"output error: {summary['error']}", file=sys.stderr)
+        print(summary["error"], file=sys.stderr)
         return EXIT_GUARD
     if not summary["completed"]:
         abort = summary["abort"]
@@ -151,7 +152,7 @@ def _sweep_command(args) -> int:
         entry = {"value": value, "out": str(out_dir), "completed": summary["completed"]}
         if "error" in summary:
             entry["error"] = summary["error"]
-            print(f"{out_dir}: output error: {summary['error']}")
+            print(f"{out_dir}: {summary['error']}")
         else:
             entry["tracking_rmse"] = summary["tracking_rmse"]
             print(f"{out_dir}: {'ok' if summary['completed'] else 'ABORTED'}")

@@ -51,12 +51,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .attitude import (
-    attitude_coupling,
-    attitude_input_gain,
-    attitude_torque,
-    channel_errors,
-)
+from .attitude import attitude_torque, channel_errors
 from .disturbances import make_generator
 from .errors import (
     AngleGuardError,
@@ -67,14 +62,21 @@ from .errors import (
 from .filters import command_filter_derivative, first_order_filter_derivative
 from .observers import do_derivative, do_estimate, hgo_derivative
 from .position import (
-    acceleration_from_attitude,
     extract_thrust_and_attitude,
     position_virtual_control,
     reference_trajectory,
     waypoint_trajectory,
 )
-from .scenario import ANGLE_GUARD_MARGIN, CHANNELS, Scenario, scenario_digest, scenario_to_dict
-from .vehicle import ControlInputs, mix_inputs_to_rotor_speeds, residual_speed, state_derivative
+from .scenario import ANGLE_LIMIT, CHANNELS, Scenario, scenario_digest, scenario_to_dict
+from .vehicle import (
+    ControlInputs,
+    acceleration_from_attitude,
+    attitude_coupling,
+    attitude_input_gain,
+    mix_inputs_to_rotor_speeds,
+    residual_speed,
+    state_derivative,
+)
 
 PLANT_DIM = 12
 RIG_SIZE = 6
@@ -93,7 +95,7 @@ COLUMNS = (
     + ("e_x", "e_y", "e_z", "e_phi", "e_theta", "e_psi")
 )
 
-TRACE_SCHEMA_VERSION = 3
+TRACE_SCHEMA_VERSION = 4
 
 
 class ClosedLoop:
@@ -101,6 +103,7 @@ class ClosedLoop:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        self.clamp_events = 0  # evaluations (all RK4 stages) whose applied mix clamped
         self.params = scenario.params
         self._psi_des = scenario.psi_des
         self._tsf = scenario.toggles.true_state_feedback
@@ -128,7 +131,6 @@ class ClosedLoop:
             for idx, ch in enumerate(CHANNELS)
         )
         self._values = tuple(g.value for g in self._gens)
-        self._angle_limit = math.pi / 2.0 - ANGLE_GUARD_MARGIN
 
     def initial_state(self) -> np.ndarray:
         """Augmented initial condition.
@@ -156,7 +158,7 @@ class ClosedLoop:
         return self._eval(t, a, collect=False)
 
     def signals(self, t: float, a):
-        """(derivative, log row in COLUMNS order, mixer clamped) at (t, a)."""
+        """(derivative, log row in COLUMNS order) at (t, a)."""
         return self._eval(t, a, collect=True)
 
     def _front(self, rig, st, ref):
@@ -180,7 +182,7 @@ class ClosedLoop:
 
     def _eval(self, t, a, collect):
         st = a.tolist() if isinstance(a, np.ndarray) else list(a)
-        if abs(st[0]) >= self._angle_limit or abs(st[2]) >= self._angle_limit:
+        if abs(st[0]) >= ANGLE_LIMIT or abs(st[2]) >= ANGLE_LIMIT:
             raise AngleGuardError(t, st[0], st[2])
         # Checked whole before any leaf reads it: under oracle feedback no
         # leaf check stands between a non-finite estimate and math.sin.
@@ -232,6 +234,7 @@ class ClosedLoop:
         v0, v1, v2, v3, v4, v5 = self._values
         d_now = (v0(t), v1(t), v2(t), v3(t), v4(t), v5(t))
         plant = state_derivative(params, st[:PLANT_DIM], u, omega_r, d_now)
+        self.clamp_events += mix.clamped
 
         # Per rig: (front, HGO nominal, HGO input term, DO coupling, DO input
         # gain, DO input).  High-gain observers always run on their own
@@ -282,7 +285,7 @@ class ClosedLoop:
                 f0[7], f1[7], f2[7], f3[7], f4[7], f5[7]]
         row += [st[6] - xyz[0], st[8] - xyz[1], st[10] - xyz[2],
                 st[0] - phi_des, st[2] - theta_des, st[4] - psi_des]
-        return deriv, row, mix.clamped
+        return deriv, row
 
 
 def rk4_step(f, a, t, dt, k1=None):
@@ -322,7 +325,7 @@ class Metrics:
     peak_abs_error: dict
     settle_time: dict
     window: Tuple[float, float]
-    clamp_events: int = 0
+    clamp_events: int = 0  # derivative evaluations whose applied mix clamped
     completed: bool = True
     abort: Optional[dict] = None
 
@@ -385,15 +388,13 @@ def run_scenario(sc: Scenario) -> RunResult:
     n = int(round(sc.duration / dt))
     data = np.empty((n + 1, len(COLUMNS)))
     a = loop.initial_state()
-    clamp_events = 0
     abort = None
     rows = 0
     for i in range(n + 1):
         t = i * dt
         try:
-            k1, data[i], clamped = loop.signals(t, a)
+            k1, data[i] = loop.signals(t, a)
             rows = i + 1
-            clamp_events += clamped
             if i == n:
                 break
             a = rk4_step(loop.derivative, a, t, dt, k1=k1)
@@ -412,7 +413,7 @@ def run_scenario(sc: Scenario) -> RunResult:
             {ch: nan for ch in CHANNELS}, {ch: None for ch in CHANNELS},
             (nan, nan),
         )
-    metrics.clamp_events = clamp_events
+    metrics.clamp_events = loop.clamp_events
     metrics.completed = abort is None
     metrics.abort = abort
     return RunResult(log, metrics)

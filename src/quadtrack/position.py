@@ -64,24 +64,6 @@ def extract_thrust_and_attitude(
     return phi_des, theta_des, psi_des, up
 
 
-def acceleration_from_attitude(
-    params: QuadrotorParams, phi: float, theta: float, psi: float, up: float
-):
-    """Translational acceleration (ax, ay, az) produced by attitude + thrust.
-
-    This is the forward model that extract_thrust_and_attitude inverts.  The
-    round trip returns each virtual acceleration within 4 eps acc**2/(uz + g),
-    acc = up/m and eps the float64 epsilon: to rounding, not exactly.
-    """
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    stheta = math.sin(theta)
-    spsi, cpsi = math.sin(psi), math.cos(psi)
-    acc = up / params.m
-    return ((cphi * stheta * cpsi + sphi * spsi) * acc,
-            (cphi * stheta * spsi - sphi * cpsi) * acc,
-            cphi * math.cos(theta) * acc - params.g)
-
-
 def reference_trajectory(t: float):
     """Built-in mission: a 3 m radius circle at 1/15 rad/s with a 0.1 m/s climb."""
     return (

@@ -28,7 +28,7 @@ numbers, and a number field accepts an integer (kept as given, so the digest
 does not change) as long as it fits in a float.  A noise disturbance carries
 its kind's fields beside its own.  A `Scenario` checks its ranges when it is
 constructed, so `dataclasses.replace` re-validates; the duration must be a
-whole number of steps of dt.
+whole number of steps of dt, and no more than sys.maxsize steps or noise draws.
 """
 
 import dataclasses
@@ -60,8 +60,8 @@ from .vehicle import QuadrotorParams
 
 CHANNELS = ("roll", "pitch", "yaw", "x", "y", "z")
 
-# Roll and pitch must stay this far inside +-pi/2 or the run aborts.
-ANGLE_GUARD_MARGIN = 0.05
+# Roll and pitch must stay 0.05 rad inside +-pi/2 (the model's validity range) or the run aborts.
+ANGLE_LIMIT = math.pi / 2.0 - 0.05
 
 # duration/dt may sit this far (relative) from a whole number of steps.
 STEP_COUNT_RTOL = 1e-9
@@ -130,12 +130,18 @@ class Scenario:
             raise ScenarioError(f"gains must cover exactly {CHANNELS}")
         if set(self.disturbances) != set(CHANNELS):
             raise ScenarioError(f"disturbances must cover exactly {CHANNELS}")
+        # A run allocates a log row per step and a noise draw per hold (or inner_dt).
+        noise = [s for s in self.disturbances.values() if isinstance(s, SampledNoise)]
+        counts = [steps, *(self.duration / s.hold for s in noise), *(
+            (self.duration + s.hold) / s.kind.inner_dt
+            for s in noise if isinstance(s.kind, BandLimitedNoise))]
+        if max(counts) > sys.maxsize:
+            raise ScenarioError(f"duration {self.duration} needs {max(counts):.3g} steps or draws")
         if len(self.initial_state) != 12:
             raise ScenarioError("initial_state must have 12 entries")
         if not all(math.isfinite(v) for v in self.initial_state):
             raise ScenarioError("initial_state must be finite numbers")
-        limit = math.pi / 2.0 - ANGLE_GUARD_MARGIN
-        if abs(self.initial_state[0]) >= limit or abs(self.initial_state[2]) >= limit:
+        if abs(self.initial_state[0]) >= ANGLE_LIMIT or abs(self.initial_state[2]) >= ANGLE_LIMIT:
             raise ScenarioError("initial roll/pitch outside the model validity range")
         kind = self.trajectory.get("type")
         if kind not in ("helix", "waypoints"):

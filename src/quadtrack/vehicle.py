@@ -10,7 +10,10 @@ State convention (12 entries, in this order):
     10 z position (up)     [m]        11 z velocity   [m/s]
 
 Roll and pitch are only valid on (-pi/2, pi/2); the simulation loop aborts
-well before the boundary.
+well before the boundary.  The airframe model is stated once, here: each plant
+acceleration row is a model function (attitude_coupling, attitude_input_gain,
+acceleration_from_attitude) plus the disturbance, and the torque law and both
+observers use the same functions.
 
 Inputs are the total thrust U_p [N], force-like roll/pitch inputs U_phi and
 U_theta (they enter the angular accelerations scaled by arm_length/inertia),
@@ -89,6 +92,52 @@ def _require_finite(values, what: str):
             raise NonFiniteError(f"non-finite value in {what}: {v!r}")
 
 
+def attitude_coupling(
+    axis: str, params: QuadrotorParams, rate_a: float, rate_b: float, omega_r: float
+) -> float:
+    """Torque-free angular acceleration of one axis [rad/s^2].
+
+    Rate arguments by axis: roll -> (pitch rate, yaw rate),
+    pitch -> (roll rate, yaw rate), yaw -> (roll rate, pitch rate).
+    """
+    if axis == "roll":
+        return ((params.Iy - params.Iz) * rate_a * rate_b + params.Ir * omega_r * rate_a) / params.Ix
+    if axis == "pitch":
+        return ((params.Iz - params.Ix) * rate_a * rate_b - params.Ir * omega_r * rate_a) / params.Iy
+    if axis == "yaw":
+        return (params.Ix - params.Iy) * rate_a * rate_b / params.Iz
+    raise ValueError(f"unknown attitude axis: {axis!r}")
+
+
+def attitude_input_gain(axis: str, params: QuadrotorParams) -> float:
+    """Gain from the channel input to angular acceleration [1/(kg m)] or [1/(kg m^2)]."""
+    if axis == "roll":
+        return params.l / params.Ix
+    if axis == "pitch":
+        return params.l / params.Iy
+    if axis == "yaw":
+        return 1.0 / params.Iz
+    raise ValueError(f"unknown attitude axis: {axis!r}")
+
+
+def acceleration_from_attitude(
+    params: QuadrotorParams, phi: float, theta: float, psi: float, up: float
+):
+    """Translational acceleration (ax, ay, az) produced by attitude + thrust.
+
+    The forward model that extract_thrust_and_attitude (position) inverts.
+    The round trip returns each virtual acceleration within 4 eps acc**2/(uz + g),
+    acc = up/m and eps the float64 epsilon: to rounding, not exactly.
+    """
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    stheta = math.sin(theta)
+    spsi, cpsi = math.sin(psi), math.cos(psi)
+    acc = up / params.m
+    return ((cphi * stheta * cpsi + sphi * spsi) * acc,
+            (cphi * stheta * spsi - sphi * cpsi) * acc,
+            cphi * math.cos(theta) * acc - params.g)
+
+
 def state_derivative(
     params: QuadrotorParams,
     state: Sequence[float],
@@ -99,8 +148,8 @@ def state_derivative(
     """Time derivative of the 12-dimensional state.
 
     omega_r is the residual propeller speed producing gyroscopic coupling in
-    the roll and pitch rows.  The disturbance vector is added directly to the
-    six acceleration rows (angular first, then translational).
+    the roll and pitch rows.  Each acceleration row is the model term plus
+    its entry of the disturbance vector (angular first, then translational).
     """
     phi, dphi, theta, dtheta, psi, dpsi, _, vx, _, vy, _, vz = state
     up, uphi, utheta, upsi = inputs
@@ -112,34 +161,25 @@ def state_derivative(
     if up < 0.0:
         raise ValueError(f"thrust must be nonnegative, got {up}")
 
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    stheta, ctheta = math.sin(theta), math.cos(theta)
-    spsi, cpsi = math.sin(psi), math.cos(psi)
-    acc = up / params.m
-    d_phi_, d_theta_, d_psi_, d_x_, d_y_, d_z_ = disturbance
-
+    ax, ay, az = acceleration_from_attitude(params, phi, theta, psi, up)
+    d_phi, d_theta, d_psi, d_x, d_y, d_z = disturbance
     return np.array(
         [
             dphi,
-            dtheta * dpsi * (params.Iy - params.Iz) / params.Ix
-            + dtheta * omega_r * params.Ir / params.Ix
-            + (params.l / params.Ix) * uphi
-            + d_phi_,
+            attitude_coupling("roll", params, dtheta, dpsi, omega_r)
+            + attitude_input_gain("roll", params) * uphi + d_phi,
             dtheta,
-            dphi * dpsi * (params.Iz - params.Ix) / params.Iy
-            - dphi * omega_r * params.Ir / params.Iy
-            + (params.l / params.Iy) * utheta
-            + d_theta_,
+            attitude_coupling("pitch", params, dphi, dpsi, omega_r)
+            + attitude_input_gain("pitch", params) * utheta + d_theta,
             dpsi,
-            dphi * dtheta * (params.Ix - params.Iy) / params.Iz
-            + upsi / params.Iz
-            + d_psi_,
+            attitude_coupling("yaw", params, dphi, dtheta, omega_r)
+            + attitude_input_gain("yaw", params) * upsi + d_psi,
             vx,
-            (cphi * stheta * cpsi + sphi * spsi) * acc + d_x_,
+            ax + d_x,
             vy,
-            (cphi * stheta * spsi - sphi * cpsi) * acc + d_y_,
+            ay + d_y,
             vz,
-            -params.g + cphi * ctheta * acc + d_z_,
+            az + d_z,
         ]
     )
 

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from quadtrack import read_trace
+from quadtrack import cli, read_trace
 from quadtrack.cli import main
 
 
@@ -24,7 +24,7 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["completed"] is True
         assert summary["seed"] == 0
-        assert summary["schema_version"] == 3
+        assert summary["schema_version"] == 4
         assert set(summary["tracking_rmse"]) == {"roll", "pitch", "yaw", "x", "y", "z"}
         assert summary["scenario"]["sim"]["duration"] == 0.2
         assert len(summary["scenario_digest"]) == 64
@@ -52,6 +52,16 @@ class TestRun:
         blocked.write_text("a file where the output directory should go")
         assert main(["run", "--scenario", str(short_scenario), "--out", str(blocked)]) == 3
         assert "output error" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path, short_scenario, capsys,
+                                                 monkeypatch):
+        def exhausted(sc):
+            raise MemoryError("Unable to allocate 52.4 TiB")
+
+        monkeypatch.setattr(cli, "run_scenario", exhausted)
+        assert main(["run", "--scenario", str(short_scenario), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "out of memory: MemoryError: Unable to allocate 52.4 TiB\n"
 
     def test_guard_abort_exits_3_with_partial_outputs(self, tmp_path):
         cfg = tmp_path / "abort.json"
@@ -116,6 +126,25 @@ class TestSweep:
         failed, done = json.loads((out / "sweep.json").read_text())["runs"]
         assert failed["completed"] is False and "FileExistsError" in failed["error"]
         assert done["completed"] is True and done["value"] == 140
+        assert (pathlib.Path(done["out"]) / "summary.json").exists()
+
+    def test_sweep_member_out_of_memory_keeps_the_others(self, tmp_path, short_scenario,
+                                                         monkeypatch):
+        run = cli.run_scenario
+
+        def exhausted_on_seed_1(sc):
+            if sc.seed == 1:
+                raise MemoryError("Unable to allocate 52.4 TiB")
+            return run(sc)
+
+        monkeypatch.setattr(cli, "run_scenario", exhausted_on_seed_1)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(short_scenario), "--vary", "sim.seed=1,2",
+                     "--out", str(out)]) == 3
+        failed, done = json.loads((out / "sweep.json").read_text())["runs"]
+        assert failed["completed"] is False
+        assert failed["error"].startswith("out of memory: MemoryError")
+        assert done["completed"] is True and done["value"] == 2
         assert (pathlib.Path(done["out"]) / "summary.json").exists()
 
     def test_sweep_output_root_blocked_exits_3(self, tmp_path, short_scenario, capsys):

@@ -249,6 +249,28 @@ class TestRunScenario:
         assert not metrics.completed
         assert metrics.abort["reason"] == "NonFiniteError"
 
+    def test_clamp_events_count_every_rk4_stage(self, monkeypatch):
+        # A 20 rad/s initial roll rate saturates the mixer.  clamp_events
+        # counts every evaluation whose applied (second-pass) mix clamped,
+        # at all four RK4 stages, not only at the logged first stage.
+        mix = engine.mix_inputs_to_rotor_speeds
+        clamped = []
+
+        def recording_mix(params, u):
+            result = mix(params, u)
+            clamped.append(result.clamped)
+            return result
+
+        monkeypatch.setattr(engine, "mix_inputs_to_rotor_speeds", recording_mix)
+        sc = scenario_from_dict({"initial_state": [0.0, 20.0] + [0.0] * 10,
+                                 "sim": {"duration": 0.1}})
+        log, metrics = run_scenario(sc)
+        assert metrics.completed
+        applied = clamped[1::2]  # two mixing passes per evaluation
+        assert len(applied) == 4 * (len(log) - 1) + 1
+        assert metrics.clamp_events == sum(applied)
+        assert metrics.clamp_events > sum(applied[::4])  # the logged stages alone
+
     def test_fixed_residual_speed_mode_runs(self):
         sc = scenario_from_dict({
             "params": {"fixed_residual_speed": 5.0},
@@ -429,6 +451,6 @@ class TestSummary:
         }
         header = {"schema_version", "seed", "scenario_digest", "scenario"}
         assert set(summary) == header | {f.name for f in dataclasses.fields(Metrics)}
-        assert summary["schema_version"] == 3
+        assert summary["schema_version"] == 4
         assert summary["window"] == [0.0, 0.01] and summary["abort"] is None
         assert json.loads(json.dumps(payload)) == summary

@@ -1,6 +1,9 @@
 """Mission-level properties of the stock 120 s run (shared session fixture)."""
 
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,25 @@ class TestStockMission:
         for xhat, x in (("xhat2", "x2"), ("xhat8", "x8"), ("xhat12", "x12")):
             err = log.column(xhat)[sel] - log.column(x)[sel]
             assert np.sqrt(np.mean(err ** 2)) < 0.05
+
+
+BENCH = Path(__file__).resolve().parent.parent / "quadbench"
+
+
+class TestRecordedBehaviour:
+    def test_stock_half_second_matches_the_recorded_reference(self):
+        # The benchmark's recorded outputs for its mission workload, checked
+        # within the tolerances its design file states.
+        ref = json.loads((BENCH / "reference.json").read_text())["mission"]["stock"]
+        tol = json.loads((BENCH / "design.json").read_text())["tolerance"]
+        _, metrics = run_scenario(dataclasses.replace(default_scenario(), duration=0.5))
+        assert metrics.completed is ref["completed"]
+        assert metrics.clamp_events == ref["clamp_events"]
+        for key in ("tracking_rmse", "estimation_rmse"):
+            got, want = getattr(metrics, key), ref[key]
+            for ch in CHANNELS:
+                assert math.isclose(got[ch], want[ch], rel_tol=tol["rmse_rtol"],
+                                    abs_tol=tol["rmse_atol"]), (key, ch)
 
 
 class TestTimeStepRobustness:

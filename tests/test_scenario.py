@@ -153,6 +153,17 @@ class TestValidationErrors:
             {"trajectory": {"type": "waypoints", "points": [[0, _HUGE, 0, 1]]}},
             {"sim": {"duration": 1e308}},  # duration/dt overflows to inf
             {"gains": {"roll": {"eps": 1e-200}}},  # eps * eps underflows to 0
+            # Step or noise-draw counts above sys.maxsize, which no run can allocate.
+            {"sim": {"dt": 1e-300, "duration": 1.0}},
+            {"sim": {"duration": 0.01}, "disturbances": {"roll": {
+                "type": "noise", "kind": "gaussian", "sigma": 0.1, "hold": 1e-300}}},
+            {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
+                "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-300,
+                "hold": 0.05}}},
+            # inner_dt draws run to the last hold boundary, past the duration.
+            {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
+                "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-9,
+                "hold": 1e10}}},
         ],
     )
     def test_rejected(self, raw):

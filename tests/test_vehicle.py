@@ -11,6 +11,8 @@ from quadtrack import (
     QuadrotorParams,
     RotorSpeeds,
     acceleration_from_attitude,
+    attitude_coupling,
+    attitude_input_gain,
     mix_inputs_to_rotor_speeds,
     residual_speed,
     state_derivative,
@@ -112,6 +114,29 @@ class TestStateDerivative:
         with pytest.raises(ValueError):
             state_derivative(PARAMS, level_state(), ControlInputs(-1.0, 0.0, 0.0, 0.0),
                              0.0)
+
+
+_REAL = st.floats(-50.0, 50.0)
+
+
+class TestPlantIsTheModel:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(state=st.lists(_REAL, min_size=12, max_size=12), up=st.floats(0.0, 50.0),
+           torques=st.lists(_REAL, min_size=3, max_size=3), omega_r=st.floats(-2000.0, 2000.0),
+           d=st.lists(_REAL, min_size=6, max_size=6))
+    def test_acceleration_rows_are_model_terms_plus_disturbance(self, state, up, torques,
+                                                                omega_r, d):
+        # The plant, the torque law and the observers share one model: every
+        # acceleration row equals its model function plus the disturbance, exactly.
+        phi, dphi, theta, dtheta, psi, dpsi = state[:6]
+        rates = {"roll": (dtheta, dpsi), "pitch": (dphi, dpsi), "yaw": (dphi, dtheta)}
+        expected = [attitude_coupling(axis, PARAMS, *rates[axis], omega_r)
+                    + attitude_input_gain(axis, PARAMS) * u + d_axis
+                    for axis, u, d_axis in zip(rates, torques, d)]
+        accel = acceleration_from_attitude(PARAMS, phi, theta, psi, up)
+        expected += [a + d_axis for a, d_axis in zip(accel, d[3:])]
+        ds = state_derivative(PARAMS, state, ControlInputs(up, *torques), omega_r, d)
+        assert ds[1::2].tolist() == expected
 
 
 class TestMixing:

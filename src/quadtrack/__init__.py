@@ -49,7 +49,6 @@ from .position import (
 from .scenario import (
     CHANNELS,
     Scenario,
-    default_scenario,
     load_scenario,
     scenario_digest,
     scenario_from_dict,

@@ -102,8 +102,6 @@ def _parse_vary(vary: str):
             values.append(json.loads(piece))
         except json.JSONDecodeError:
             values.append(piece)
-    if not values:
-        raise ScenarioError(f"--vary has no values: {vary!r}")
     return keys, values
 
 
@@ -159,8 +157,12 @@ def _sweep_command(args) -> int:
         index.append(entry)
         if not summary["completed"]:
             status = EXIT_GUARD
-    (out_root / "sweep.json").write_text(json.dumps(
-        {"vary": args.vary, "runs": index}, indent=2) + "\n")
+    try:
+        (out_root / "sweep.json").write_text(json.dumps(
+            {"vary": args.vary, "runs": index}, indent=2) + "\n")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     return status
 
 

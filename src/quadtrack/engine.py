@@ -13,7 +13,8 @@ cascade in this order:
     5. front half of the roll, pitch, yaw rigs on (phi_des, theta_des, psi_des)
     6. torque laws and mixing -> rotor speeds -> residual propeller speed
     7. plant derivative with the injected disturbances
-    8. one pass over the six rigs for the observer derivatives
+    8. one pass over the six rigs for the observer derivatives: HGOs read the
+       model at their estimates, DOs at feedback (evaluated twice only under oracle)
 
 The torque laws need the residual propeller speed, which depends on the
 rotor speeds mixed from those same torques.  When the speed is pinned
@@ -180,6 +181,14 @@ class ClosedLoop:
         dsg = first_order_filter_derivative(sg, nu, tau)
         return dz1, dz2, dsg, xi1, xi2, nu, sg, do_estimate(gm, lam, fb2), fb2
 
+    def _model(self, outputs, rates, omega_r, up):
+        """Rate-row model terms, inputs left out, at outputs and rates in CHANNELS order."""
+        params = self.params
+        return (attitude_coupling("roll", params, rates[1], rates[2], omega_r),
+                attitude_coupling("pitch", params, rates[0], rates[2], omega_r),
+                attitude_coupling("yaw", params, rates[0], rates[1], omega_r),
+                *acceleration_from_attitude(params, outputs[0], outputs[1], outputs[2], up))
+
     def _eval(self, t, a, collect):
         st = a.tolist() if isinstance(a, np.ndarray) else list(a)
         if abs(st[0]) >= ANGLE_LIMIT or abs(st[2]) >= ANGLE_LIMIT:
@@ -236,44 +245,27 @@ class ClosedLoop:
         plant = state_derivative(params, st[:PLANT_DIM], u, omega_r, d_now)
         self.clamp_events += mix.clamped
 
-        # Per rig: (front, HGO nominal, HGO input term, DO coupling, DO input
-        # gain, DO input).  High-gain observers always run on their own
-        # estimates, so oracle feedback leaves them intact.
-        _, u0, u1, u2 = u
-        g0, g1, g2 = self._att_gain
-        # A rig's HGO estimates sit at base + 3 (output) and base + 4 (rate).
-        est0, est1, est2 = st[rig0[0] + 4], st[rig1[0] + 4], st[rig2[0] + 4]
-        drive = [
-            (f0, attitude_coupling("roll", params, est1, est2, omega_r), g0 * u0,
-             attitude_coupling("roll", params, rate1, rate2, omega_r), g0, u0),
-            (f1, attitude_coupling("pitch", params, est0, est2, omega_r), g1 * u1,
-             attitude_coupling("pitch", params, rate0, rate2, omega_r), g1, u1),
-            (f2, attitude_coupling("yaw", params, est0, est1, omega_r), g2 * u2,
-             attitude_coupling("yaw", params, rate0, rate1, omega_r), g2, u2),
-        ]
-        f_pos = acceleration_from_attitude(params, st[rig0[0] + 3], st[rig1[0] + 3],
-                                           st[rig2[0] + 3], up)
         # The translational rows are double integrators in the achieved
         # virtual input (thrust tilted by the actual attitude), so that is
         # what the disturbance observers must consume.  Feeding them the
         # commanded virtual control instead would cancel their damping term,
         # because the command already contains -dhat, and wind them up on the
         # attitude tracking lag.
-        if self._tsf:
-            f_do = acceleration_from_attitude(params, st[0], st[2], st[4], up)
-        else:
-            f_do = f_pos
-        drive += [(f3, f_pos[0], 0.0, 0.0, 1.0, f_do[0]),
-                  (f4, f_pos[1], 0.0, 0.0, 1.0, f_do[1]),
-                  (f5, f_pos[2], 0.0, 0.0, 1.0, f_do[2])]
+        nominal = self._model(st[PLANT_DIM + 3::RIG_SIZE], st[PLANT_DIM + 4::RIG_SIZE],
+                              omega_r, up)
+        feedback = (self._model(st[0:PLANT_DIM:2], st[1:PLANT_DIM:2], omega_r, up)
+                    if self._tsf else nominal)
+        _, u0, u1, u2 = u
+        g0, g1, g2 = self._att_gain
+        input_terms = (g0 * u0, g1 * u1, g2 * u2, 0.0, 0.0, 0.0)
 
         rows = plant.tolist()
-        for (base, out, b1, b2, eps, lam), (f, nominal, input_term, coupling, gain, u_in) in zip(
-                self._observers, drive):
+        for (base, out, b1, b2, eps, lam), f, nom, fb, inp in zip(
+                self._observers, (f0, f1, f2, f3, f4, f5), nominal, feedback, input_terms):
             dxh1, dxh2 = hgo_derivative(st[base + 3], st[base + 4], b1, b2, eps, st[out],
-                                        nominal, input_term)
+                                        nom, inp)
             rows += (f[0], f[1], f[2], dxh1, dxh2,
-                     do_derivative(st[base + 5], lam, f[8], coupling, gain, u_in))
+                     do_derivative(st[base + 5], lam, f[8], fb, inp))
         deriv = np.array(rows)
         if not collect:
             return deriv

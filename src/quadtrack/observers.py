@@ -3,16 +3,17 @@
 Both operate on a scalar double-integrator channel
 
     d/dt output = rate
-    d/dt rate   = coupling + input_gain * u + disturbance
+    d/dt rate   = coupling + input_term + disturbance
 
-where coupling collects the known model terms on the rate row.  Only
+where coupling collects the known model terms on the rate row and
+input_term is the known input contribution (input gain times input).  Only
 outputs are measured; rates come from the high-gain observer.
 
 Disturbance observer.  The design function is linear in the rate state,
 p(x) = lam * rate, which gives estimate dynamics
 
     dhat      = gamma + lam * rate
-    dgamma/dt = -lam * gamma - lam * (lam * rate + coupling + input_gain * u)
+    dgamma/dt = -lam * gamma - lam * (lam * rate + coupling + input_term)
 
 so with exact rate information the estimation error decays as exp(-lam t).
 lam must exceed 1/2 for the closed-loop damping argument to hold.
@@ -28,11 +29,10 @@ def do_derivative(
     lam: float,
     rate_estimate: float,
     coupling: float,
-    input_gain: float,
-    u: float,
+    input_term: float,
 ) -> float:
-    """Internal-state derivative of the disturbance observer."""
-    return -lam * gamma - lam * (lam * rate_estimate + coupling + input_gain * u)
+    """Internal-state derivative of the disturbance observer (terms as in hgo_derivative)."""
+    return -lam * gamma - lam * (lam * rate_estimate + coupling + input_term)
 
 
 def do_estimate(gamma: float, lam: float, rate_estimate: float) -> float:

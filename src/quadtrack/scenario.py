@@ -153,10 +153,6 @@ class Scenario:
                 raise ScenarioError(f"bad waypoints: {exc}") from exc
 
 
-def default_scenario() -> Scenario:
-    return Scenario()
-
-
 # --- dict <-> dataclass plumbing -------------------------------------------
 
 _NUMBER = frozenset({int, float})

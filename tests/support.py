@@ -64,7 +64,7 @@ def simulate_roll_regulation(
         x1, x2, _, _, sg, gm = s
         dz1, dz2, nu, _, _, _, u = law(s)
         dsg = first_order_filter_derivative(sg, nu, gains.tau)
-        dgm = do_derivative(gm, gains.lam, x2, 0.0, g1, u) if use_do else 0.0
+        dgm = do_derivative(gm, gains.lam, x2, 0.0, g1 * u) if use_do else 0.0
         return np.array([x2, g1 * u + disturbance(t), dz1, dz2, dsg, dgm])
 
     # command filter on the reference; lag filter starts at its input

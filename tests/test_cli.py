@@ -154,6 +154,15 @@ class TestSweep:
                      "--vary", "sim.seed=1", "--out", str(blocked)]) == 3
         assert "output error" in capsys.readouterr().err
 
+    def test_sweep_index_write_failure_exits_3(self, tmp_path, short_scenario, capsys):
+        out = tmp_path / "sweep"
+        (out / "sweep.json").mkdir(parents=True)
+        assert main(["sweep", "--scenario", str(short_scenario), "--vary", "sim.seed=1,2",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert (out / "sim_seed_2" / "summary.json").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_sweep_jobs_below_one_exits_2(self, tmp_path, short_scenario, jobs):
         with pytest.raises(SystemExit) as exc:

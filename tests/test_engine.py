@@ -14,11 +14,18 @@ from quadtrack import (
     Metrics,
     NonFiniteError,
     QuadrotorParams,
+    RotorSpeeds,
+    Scenario,
     SimLog,
     SimulationError,
+    acceleration_from_attitude,
+    attitude_coupling,
+    attitude_input_gain,
     compute_rmse,
-    default_scenario,
+    do_derivative,
+    hgo_derivative,
     read_trace,
+    residual_speed,
     rk4_step,
     run_scenario,
     scenario_from_dict,
@@ -27,7 +34,7 @@ from quadtrack import (
     write_trace,
 )
 from quadtrack import engine
-from quadtrack.engine import PLANT_DIM, RIG_SIZE
+from quadtrack.engine import PLANT_DIM, RIG_SIZE, STATE_DIM
 
 
 class TestRk4:
@@ -111,7 +118,7 @@ class TestClosedLoopDerivative:
     def oracle_pair():
         """Stock loops with estimated and with true-state feedback, and a random
         state whose HGO estimates equal the true outputs and rates."""
-        sc = dataclasses.replace(default_scenario(), duration=0.2)
+        sc = dataclasses.replace(Scenario(), duration=0.2)
         oracle = dataclasses.replace(
             sc, toggles=dataclasses.replace(sc.toggles, true_state_feedback=True))
         rng = np.random.default_rng(5)
@@ -190,9 +197,50 @@ class TestClosedLoopDerivative:
             vz_prev = s[11]
 
 
+class TestObserverRows:
+    """Every rig's HGO and DO rows of signals() rebuilt from the public model functions."""
+
+    @staticmethod
+    def model(params, outputs, rates, omega_r, up):
+        """The six rate-row model terms, inputs left out, in CHANNELS order."""
+        others = {"roll": (1, 2), "pitch": (0, 2), "yaw": (0, 1)}
+        return ([attitude_coupling(axis, params, rates[j], rates[k], omega_r)
+                 for axis, (j, k) in others.items()]
+                + list(acceleration_from_attitude(params, outputs[0], outputs[1], outputs[2], up)))
+
+    @pytest.mark.parametrize("pinned", [None, 40.0], ids=["two_pass", "pinned"])
+    @pytest.mark.parametrize("oracle", [False, True], ids=["estimates", "oracle"])
+    def test_hgo_reads_estimates_and_do_reads_feedback(self, oracle, pinned):
+        stock = Scenario()
+        sc = dataclasses.replace(
+            stock, duration=1.0,
+            params=dataclasses.replace(stock.params, fixed_residual_speed=pinned),
+            toggles=dataclasses.replace(stock.toggles, true_state_feedback=oracle))
+        loop, params = ClosedLoop(sc), sc.params
+        col = {name: i for i, name in enumerate(COLUMNS)}
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            a = (loop.initial_state() + rng.normal(0.0, 0.1, STATE_DIM)).tolist()
+            deriv, row = loop.signals(rng.uniform(0.0, sc.duration), a)
+            up, *torques = (row[col[name]] for name in ("Up", "Uphi", "Utheta", "Upsi"))
+            omega_r = residual_speed(params, RotorSpeeds(*(row[col[f"w{k}"]] for k in range(1, 5))))
+            xhat1, xhat2 = a[PLANT_DIM + 3::RIG_SIZE], a[PLANT_DIM + 4::RIG_SIZE]
+            fb1, fb2 = (a[0:PLANT_DIM:2], a[1:PLANT_DIM:2]) if oracle else (xhat1, xhat2)
+            nominal = self.model(params, xhat1, xhat2, omega_r, up)
+            feedback = self.model(params, fb1, fb2, omega_r, up)
+            inputs = [attitude_input_gain(axis, params) * u
+                      for axis, u in zip(CHANNELS, torques)] + [0.0, 0.0, 0.0]
+            for i, ch in enumerate(CHANNELS):
+                g, base = sc.gains[ch], PLANT_DIM + RIG_SIZE * i
+                hgo = hgo_derivative(xhat1[i], xhat2[i], g.beta1, g.beta2, g.eps, a[2 * i],
+                                     nominal[i], inputs[i])
+                do = do_derivative(a[base + 5], g.lam, fb2[i], feedback[i], inputs[i])
+                assert tuple(deriv[base + 3:base + 6]) == (*hgo, do), ch
+
+
 class TestRunScenario:
     def test_log_shape_and_spacing(self):
-        sc = dataclasses.replace(default_scenario(), duration=0.5)
+        sc = dataclasses.replace(Scenario(), duration=0.5)
         log, metrics = run_scenario(sc)
         assert log.data.shape == (501, len(COLUMNS))
         t = log.column("t")
@@ -201,7 +249,7 @@ class TestRunScenario:
         assert metrics.completed
 
     def test_short_run_determinism(self):
-        sc = dataclasses.replace(default_scenario(), duration=2.0)
+        sc = dataclasses.replace(Scenario(), duration=2.0)
         a = run_scenario(sc)
         b = run_scenario(sc)
         assert np.array_equal(a.log.data, b.log.data)
@@ -309,7 +357,7 @@ class TestResidualSpeedPasses:
 
         monkeypatch.setattr(engine, "attitude_torque", recording_torque)
         monkeypatch.setattr(engine, "residual_speed", recording_speed)
-        log, metrics = run_scenario(dataclasses.replace(default_scenario(), duration=0.1))
+        log, metrics = run_scenario(dataclasses.replace(Scenario(), duration=0.1))
         assert metrics.completed
         assert len(evaluations) == 4 * (len(log) - 1) + 1
         assert 0.0 < gaps["roll"] <= 5e-9
@@ -406,7 +454,7 @@ class TestTraceIo:
         assert math.copysign(1.0, back[0, 3]) == -1.0
 
     def test_write_read_write_is_stable(self, tmp_path):
-        sc = dataclasses.replace(default_scenario(), duration=0.1)
+        sc = dataclasses.replace(Scenario(), duration=0.1)
         log, _ = run_scenario(sc)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
@@ -417,7 +465,7 @@ class TestTraceIo:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_decimation(self, tmp_path):
-        sc = dataclasses.replace(default_scenario(), duration=0.1)
+        sc = dataclasses.replace(Scenario(), duration=0.1)
         log, _ = run_scenario(sc)
         path = tmp_path / "trace.csv"
         write_trace(log, path, decimation=10)
@@ -439,7 +487,7 @@ class TestTraceIo:
 
 class TestSummary:
     def test_keys_are_the_header_and_the_metrics_fields(self, tmp_path):
-        sc = dataclasses.replace(default_scenario(), duration=0.01)
+        sc = dataclasses.replace(Scenario(), duration=0.01)
         _, metrics = run_scenario(sc)
         path = tmp_path / "summary.json"
         payload = write_summary(metrics, sc, path)

@@ -10,7 +10,7 @@ import pytest
 
 from quadtrack import (
     CHANNELS,
-    default_scenario,
+    Scenario,
     make_generator,
     run_scenario,
 )
@@ -76,7 +76,7 @@ class TestRecordedBehaviour:
         # within the tolerances its design file states.
         ref = json.loads((BENCH / "reference.json").read_text())["mission"]["stock"]
         tol = json.loads((BENCH / "design.json").read_text())["tolerance"]
-        _, metrics = run_scenario(dataclasses.replace(default_scenario(), duration=0.5))
+        _, metrics = run_scenario(dataclasses.replace(Scenario(), duration=0.5))
         assert metrics.completed is ref["completed"]
         assert metrics.clamp_events == ref["clamp_events"]
         for key in ("tracking_rmse", "estimation_rmse"):
@@ -92,8 +92,8 @@ class TestTimeStepRobustness:
         # channels move well under 1%.  Attitude RMSEs sit at the command
         # filter chatter floor (the sign-term dither is dt-scaled by design),
         # so they get an absolute allowance at that floor instead.
-        sc1 = dataclasses.replace(default_scenario(), duration=30.0)
-        sc2 = dataclasses.replace(default_scenario(), duration=30.0, dt=5e-4)
+        sc1 = dataclasses.replace(Scenario(), duration=30.0)
+        sc2 = dataclasses.replace(Scenario(), duration=30.0, dt=5e-4)
         m1 = run_scenario(sc1).metrics.tracking_rmse
         m2 = run_scenario(sc2).metrics.tracking_rmse
         for ch in ("x", "y", "z"):

@@ -15,10 +15,10 @@ DT = 1e-3
 
 class TestDisturbanceObserver:
     def test_rest_point(self):
-        assert do_derivative(0.0, 2.0, 0.0, 0.0, 1.0, 0.0) == 0.0
+        assert do_derivative(0.0, 2.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_internal_state_decay(self):
-        assert do_derivative(1.0, 2.0, 0.0, 0.0, 1.0, 0.0) == -2.0
+        assert do_derivative(1.0, 2.0, 0.0, 0.0, 0.0) == -2.0
 
     def test_estimate_composition(self):
         assert do_estimate(0.0, 2.0, 0.0) == 0.0
@@ -32,7 +32,7 @@ class TestDisturbanceObserver:
 
         def f(t, s):
             x2, gamma = s
-            return np.array([d, do_derivative(gamma, lam, x2, 0.0, 1.0, 0.0)])
+            return np.array([d, do_derivative(gamma, lam, x2, 0.0, 0.0)])
 
         s = np.array([0.0, 0.0])
         for i in range(1000):
@@ -46,7 +46,7 @@ class TestDisturbanceObserver:
 
         def f(t, s):
             x2, gamma = s
-            return np.array([d, do_derivative(gamma, lam, x2, 0.0, 1.0, 0.0)])
+            return np.array([d, do_derivative(gamma, lam, x2, 0.0, 0.0)])
 
         s = np.array([0.0, 0.0])
         n = int(round((4.0 / lam) / DT))
@@ -65,7 +65,7 @@ class TestDisturbanceObserver:
 
         def f(t, s):
             x2, gamma = s
-            return np.array([c * t, do_derivative(gamma, lam, x2, 0.0, 1.0, 0.0)])
+            return np.array([c * t, do_derivative(gamma, lam, x2, 0.0, 0.0)])
 
         s = np.array([0.0, 0.0])
         n = int(round(6.0 / DT))

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from quadtrack import (
     Ramp,
     SampledNoise,
+    Scenario,
     ScenarioError,
     Sinusoid,
     Step,
-    default_scenario,
     load_scenario,
     make_generator,
     scenario_digest,
@@ -23,7 +23,7 @@ from quadtrack import (
 
 class TestDefaults:
     def test_default_scenario_validates(self):
-        sc = default_scenario()
+        sc = Scenario()
         assert sc.dt == 1e-3
         assert sc.duration == 120.0
         assert sc.params.m == 0.650
@@ -39,15 +39,15 @@ class TestDefaults:
         assert isinstance(sc.disturbances["roll"], SampledNoise)
 
     def test_empty_object_resolves_to_defaults(self):
-        assert scenario_from_dict({}) == default_scenario()
+        assert scenario_from_dict({}) == Scenario()
 
     def test_round_trip_through_dict(self):
-        sc = default_scenario()
+        sc = Scenario()
         assert scenario_from_dict(scenario_to_dict(sc)) == sc
 
     def test_digest_stable_and_sensitive(self):
-        sc = default_scenario()
-        assert scenario_digest(sc) == scenario_digest(default_scenario())
+        sc = Scenario()
+        assert scenario_digest(sc) == scenario_digest(Scenario())
         other = dataclasses.replace(sc, seed=1)
         assert scenario_digest(other) != scenario_digest(sc)
 
@@ -173,7 +173,7 @@ class TestValidationErrors:
     @pytest.mark.parametrize("change", [{"dt": 0.02}, {"trajectory": {"type": "parabola"}}])
     def test_construction_validates(self, change):
         with pytest.raises(ScenarioError):
-            dataclasses.replace(default_scenario(), **change)
+            dataclasses.replace(Scenario(), **change)
 
 
 class TestFileLoading:

@@ -44,7 +44,6 @@ ClosedLoop is built, which is why __init__ may bind them.
 """
 
 import json
-import math
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -59,6 +58,7 @@ from .errors import (
     DenominatorTooSmallError,
     NonFiniteError,
     SimulationError,
+    require_finite,
 )
 from .filters import command_filter_derivative, first_order_filter_derivative
 from .observers import do_derivative, do_estimate, hgo_derivative
@@ -96,7 +96,7 @@ COLUMNS = (
     + ("e_x", "e_y", "e_z", "e_phi", "e_theta", "e_psi")
 )
 
-TRACE_SCHEMA_VERSION = 4
+TRACE_SCHEMA_VERSION = 5
 
 
 class ClosedLoop:
@@ -123,15 +123,14 @@ class ClosedLoop:
             self._traj = reference_trajectory
         else:
             self._traj = waypoint_trajectory(scenario.trajectory["points"])
-        self._gens = tuple(
+        self._values = tuple(
             make_generator(
                 scenario.disturbances[ch],
                 np.random.SeedSequence((scenario.seed, idx)),
                 scenario.duration,
-            )
+            ).value
             for idx, ch in enumerate(CHANNELS)
         )
-        self._values = tuple(g.value for g in self._gens)
 
     def initial_state(self) -> np.ndarray:
         """Augmented initial condition.
@@ -195,10 +194,7 @@ class ClosedLoop:
             raise AngleGuardError(t, st[0], st[2])
         # Checked whole before any leaf reads it: under oracle feedback no
         # leaf check stands between a non-finite estimate and math.sin.
-        if not math.isfinite(sum(st)):
-            for i, v in enumerate(st):
-                if not math.isfinite(v):
-                    raise NonFiniteError(f"non-finite augmented state entry {i}: {v!r}")
+        require_finite(st, "augmented state")
 
         # Rig i of CHANNELS (roll, pitch, yaw, x, y, z) is f<i> below.
         params = self.params
@@ -316,7 +312,7 @@ class Metrics:
     estimation_rmse: dict
     peak_abs_error: dict
     settle_time: dict
-    window: Tuple[float, float]
+    window: Optional[Tuple[float, float]]  # None when no row was logged
     clamp_events: int = 0  # derivative evaluations whose applied mix clamped
     completed: bool = True
     abort: Optional[dict] = None
@@ -399,12 +395,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     if rows:
         metrics = compute_rmse(log, (float(log.data[0, 0]), float(log.data[rows - 1, 0])))
     else:
-        nan = float("nan")
-        metrics = Metrics(
-            {ch: nan for ch in CHANNELS}, {ch: nan for ch in CHANNELS},
-            {ch: nan for ch in CHANNELS}, {ch: None for ch in CHANNELS},
-            (nan, nan),
-        )
+        metrics = Metrics(*(dict.fromkeys(CHANNELS) for _ in range(4)), None)
     metrics.clamp_events = loop.clamp_events
     metrics.completed = abort is None
     metrics.abort = abort
@@ -450,13 +441,16 @@ def read_trace(path) -> SimLog:
 
 
 def write_summary(metrics: Metrics, sc: Scenario, path) -> dict:
-    """JSON summary: schema_version, seed, scenario_digest, scenario, then each Metrics field."""
+    """JSON summary: schema_version, seed, scenario_digest, scenario, then each Metrics field.
+
+    A NaN or infinite figure is written, and returned, as null: the file is standard JSON.
+    """
     payload = {
         "schema_version": TRACE_SCHEMA_VERSION,
         "seed": sc.seed,
         "scenario_digest": scenario_digest(sc),
         "scenario": scenario_to_dict(sc),
-        **asdict(metrics),
+        **json.loads(json.dumps(asdict(metrics)), parse_constant=lambda name: None),
     }
     try:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DenominatorTooSmallError, NonFiniteError
+from .errors import DenominatorTooSmallError, require_finite
 from .vehicle import QuadrotorParams
 
 # Below this U_z + g value [m/s^2] the attitude extraction is rejected.
@@ -51,9 +51,7 @@ def extract_thrust_and_attitude(
     both; the atan range keeps the angles inside (-pi/2, pi/2).  Raises
     DenominatorTooSmallError near the free-fall singularity.
     """
-    for v in (ux, uy, uz, psi_des):
-        if not math.isfinite(v):
-            raise NonFiniteError(f"non-finite virtual control input: {v!r}")
+    require_finite((ux, uy, uz, psi_des), "virtual control")
     den = uz + params.g
     if den < MIN_EXTRACTION_DENOMINATOR:
         raise DenominatorTooSmallError(den, MIN_EXTRACTION_DENOMINATOR)

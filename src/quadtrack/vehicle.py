@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import require_finite
 
 
 class ControlInputs(NamedTuple):
@@ -79,17 +79,6 @@ class QuadrotorParams:
                 raise ValueError(f"QuadrotorParams.{name} must be finite and > 0, got {value}")
         if self.fixed_residual_speed is not None and not math.isfinite(self.fixed_residual_speed):
             raise ValueError("fixed_residual_speed must be finite")
-
-
-def _require_finite(values, what: str):
-    # A non-finite term makes the sum non-finite, so a finite sum clears
-    # every term at once; only a non-finite sum (which finite terms reach by
-    # overflowing it) needs the walk that names the culprit.
-    if math.isfinite(sum(values)):
-        return
-    for v in values:
-        if not math.isfinite(v):
-            raise NonFiniteError(f"non-finite value in {what}: {v!r}")
 
 
 def attitude_coupling(
@@ -153,11 +142,10 @@ def state_derivative(
     """
     phi, dphi, theta, dtheta, psi, dpsi, _, vx, _, vy, _, vz = state
     up, uphi, utheta, upsi = inputs
-    _require_finite(state, "state")
-    _require_finite(inputs, "inputs")
-    _require_finite(disturbance, "disturbance")
-    if not math.isfinite(omega_r):
-        raise NonFiniteError(f"non-finite residual speed: {omega_r!r}")
+    require_finite(state, "state")
+    require_finite(inputs, "inputs")
+    require_finite(disturbance, "disturbance")
+    require_finite((omega_r,), "residual speed")
     if up < 0.0:
         raise ValueError(f"thrust must be nonnegative, got {up}")
 
@@ -192,7 +180,7 @@ def mix_inputs_to_rotor_speeds(params: QuadrotorParams, u: ControlInputs) -> Mix
     docstring maps the speeds back to u within 8 eps up on the forces and
     8 eps (d/b) up on the yaw torque (eps: float64 epsilon), not exactly.
     """
-    _require_finite(u, "inputs")
+    require_finite(u, "inputs")
     up, uphi, utheta, upsi = u
     total = up / params.b              # s1 + s2 + s3 + s4
     roll = uphi / params.b             # s4 - s2

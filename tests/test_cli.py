@@ -24,7 +24,7 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["completed"] is True
         assert summary["seed"] == 0
-        assert summary["schema_version"] == 4
+        assert summary["schema_version"] == 5
         assert set(summary["tracking_rmse"]) == {"roll", "pitch", "yaw", "x", "y", "z"}
         assert summary["scenario"]["sim"]["duration"] == 0.2
         assert len(summary["scenario_digest"]) == 64
@@ -170,3 +170,48 @@ class TestSweep:
                   "--out", str(tmp_path / "s"), "--jobs", jobs])
         assert exc.value.code == 2
         assert not (tmp_path / "s").exists()
+
+
+def strict_json(path):
+    """Parse path as standard JSON: NaN, Infinity and -Infinity are rejected."""
+    def reject(name):
+        raise ValueError(f"{path} holds {name}, which standard JSON does not allow")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestStrictJson:
+    # Rejected on the first evaluation, so no row is logged and no figure is defined.
+    IMMEDIATE_ABORT = {"trajectory": {"type": "waypoints", "points": [[0.0, 0.0, 0.0, -100.0]]},
+                       "sim": {"duration": 0.01}}
+
+    def test_run_with_no_logged_row_writes_nulls(self, tmp_path):
+        cfg = tmp_path / "abort.json"
+        cfg.write_text(json.dumps(self.IMMEDIATE_ABORT))
+        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        summary = strict_json(tmp_path / "out" / "summary.json")
+        for key in ("tracking_rmse", "estimation_rmse", "peak_abs_error", "settle_time"):
+            assert summary[key] == dict.fromkeys(("roll", "pitch", "yaw", "x", "y", "z"))
+        assert summary["window"] is None
+
+    def test_overflowed_estimation_rmse_is_null(self, tmp_path):
+        # The roll HGO's logged estimates overflow r * r in compute_rmse.
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({
+            "toggles": {"true_state_feedback": True}, "gains": {"roll": {"eps": 1e-45}},
+            "initial_state": [0.1] + [0.0] * 11, "sim": {"duration": 0.01}}))
+        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        summary = strict_json(tmp_path / "out" / "summary.json")
+        assert summary["abort"]["reason"] == "NonFiniteError"
+        assert summary["estimation_rmse"]["roll"] is None
+        assert summary["estimation_rmse"]["z"] is not None
+
+    def test_sweep_index_of_aborted_members_is_standard_json(self, tmp_path):
+        cfg = tmp_path / "abort.json"
+        cfg.write_text(json.dumps(self.IMMEDIATE_ABORT))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(cfg), "--vary", "sim.seed=1,2",
+                     "--out", str(out)]) == 3
+        runs = strict_json(out / "sweep.json")["runs"]
+        assert [run["completed"] for run in runs] == [False, False]
+        assert all(set(run["tracking_rmse"].values()) == {None} for run in runs)

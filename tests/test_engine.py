@@ -499,6 +499,6 @@ class TestSummary:
         }
         header = {"schema_version", "seed", "scenario_digest", "scenario"}
         assert set(summary) == header | {f.name for f in dataclasses.fields(Metrics)}
-        assert summary["schema_version"] == 4
+        assert summary["schema_version"] == 5
         assert summary["window"] == [0.0, 0.01] and summary["abort"] is None
         assert json.loads(json.dumps(payload)) == summary

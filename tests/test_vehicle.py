@@ -102,7 +102,7 @@ class TestStateDerivative:
         with pytest.raises(NonFiniteError) as exc:
             state_derivative(PARAMS, args["state"], ControlInputs(*args["inputs"]), 0.0,
                              args["disturbance"])
-        assert str(exc.value) == f"non-finite value in {where}: {bad!r}"
+        assert str(exc.value) == f"non-finite {where} entry 1: {bad!r}"
 
     def test_finite_values_whose_sum_overflows_pass(self):
         # Two entries of 1e308 sum to inf; each is finite, so no check fires.
@@ -189,7 +189,7 @@ class TestMixing:
     def test_non_finite_message_names_the_value(self, bad):
         with pytest.raises(NonFiniteError) as exc:
             mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(1.0, 0.0, bad, 0.0))
-        assert str(exc.value) == f"non-finite value in inputs: {bad!r}"
+        assert str(exc.value) == f"non-finite inputs entry 2: {bad!r}"
 
     def test_finite_inputs_whose_sum_overflows_pass(self):
         mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(1e308, 1e308, 0.0, 0.0))

@@ -106,9 +106,6 @@ class NoDisturbance:
 
 DisturbanceSpec = Union[Sinusoid, Step, Ramp, SampledNoise, NoDisturbance]
 
-# Band-limited noise draws its white sequence in blocks this long; the values do not depend on it.
-WHITE_BLOCK = 65536
-
 
 def noise_boundary_values(kind: NoiseKind, seed, count: int, hold: float = None) -> np.ndarray:
     """The first `count` hold-boundary values of a seeded noise stream.
@@ -125,14 +122,9 @@ def noise_boundary_values(kind: NoiseKind, seed, count: int, hold: float = None)
         if hold is None:
             raise ValueError("band-limited noise needs the hold interval")
         inner_count = int(math.floor((count - 1) * hold / kind.inner_dt)) + 1 if count else 0
-        scale = math.sqrt(kind.power / kind.inner_dt)
+        white = rng.normal(0.0, math.sqrt(kind.power / kind.inner_dt), inner_count)
         idx = np.floor(np.arange(count) * hold / kind.inner_dt).astype(int)
-        out = np.empty(count)
-        for start in range(0, inner_count, WHITE_BLOCK):
-            white = rng.normal(0.0, scale, min(WHITE_BLOCK, inner_count - start))
-            lo, hi = np.searchsorted(idx, (start, start + WHITE_BLOCK))
-            out[lo:hi] = white[idx[lo:hi] - start]
-        return out
+        return white[idx]
     raise TypeError(f"unknown noise kind: {kind!r}")
 
 

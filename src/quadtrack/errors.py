@@ -30,6 +30,9 @@ class AngleGuardError(SimulationError):
     """Roll or pitch left the model's validity range."""
 
     def __init__(self, t: float, roll: float, pitch: float):
+        self.t = t
+        self.roll = roll
+        self.pitch = pitch
         super().__init__(
             f"attitude left validity range at t={t:.6f} s "
             f"(roll={roll:.4f} rad, pitch={pitch:.4f} rad)"
@@ -40,6 +43,8 @@ class DenominatorTooSmallError(SimulationError):
     """Vertical virtual control too close to free fall for thrust extraction."""
 
     def __init__(self, value: float, limit: float):
+        self.value = value
+        self.limit = limit
         super().__init__(
             f"thrust extraction denominator U_z + g = {value:.6f} m/s^2 "
             f"is below the {limit} m/s^2 guard"

@@ -51,7 +51,8 @@ def extract_thrust_and_attitude(
     both; the atan range keeps the angles inside (-pi/2, pi/2).  Raises
     DenominatorTooSmallError near the free-fall singularity.
     """
-    require_finite((ux, uy, uz, psi_des), "virtual control")
+    require_finite((ux, uy, uz), "virtual control")
+    require_finite((psi_des,), "yaw setpoint")
     den = uz + params.g
     if den < MIN_EXTRACTION_DENOMINATOR:
         raise DenominatorTooSmallError(den, MIN_EXTRACTION_DENOMINATOR)

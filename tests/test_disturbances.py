@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from quadtrack import (
     make_generator,
     noise_boundary_values,
 )
-from quadtrack import disturbances
 
 
 class TestAnalyticShapes:
@@ -99,36 +97,6 @@ class TestSampledNoise:
         # outer hold below the inner step repeats inner values
         vals_fast = noise_boundary_values(kind, 5, 10, hold=0.05)
         assert vals_fast[0] == vals_fast[1]  # both inside the first inner step
-
-    @staticmethod
-    def one_shot_band_limited(kind, seed, count, hold):
-        """The whole inner white sequence drawn at once, then read at the hold boundaries."""
-        inner_count = int(math.floor((count - 1) * hold / kind.inner_dt)) + 1
-        white = np.random.default_rng(seed).normal(
-            0.0, math.sqrt(kind.power / kind.inner_dt), inner_count)
-        return white[np.floor(np.arange(count) * hold / kind.inner_dt).astype(int)]
-
-    # hold 0.05 over inner_dt 0.003 reads every 16th or 17th of 651 inner samples.
-    @pytest.mark.parametrize("block", [1, 7, 16, 17, 650, 651, 652])
-    def test_band_limited_blocks_do_not_change_the_values(self, monkeypatch, block):
-        kind = BandLimitedNoise(power=0.3, inner_dt=0.003)
-        want = self.one_shot_band_limited(kind, 9, 40, 0.05)
-        monkeypatch.setattr(disturbances, "WHITE_BLOCK", block)
-        assert noise_boundary_values(kind, 9, 40, 0.05).tobytes() == want.tobytes()
-
-    def test_band_limited_memory_does_not_grow_with_the_inner_count(self):
-        # 120 s at hold 0.05 reads 2 402 of 1.2 million inner samples, which
-        # take 9.6 MB drawn at once.
-        kind = BandLimitedNoise(power=0.3, inner_dt=1e-4)
-        count = int(120 / 0.05) + 2
-        tracemalloc.start()
-        try:
-            vals = noise_boundary_values(kind, 7, count, 0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3e6
-        assert vals.tobytes() == self.one_shot_band_limited(kind, 7, count, 0.05).tobytes()
 
     def test_band_limited_requires_hold(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,10 @@ import math
 import pytest
 
 from quadtrack import (
+    AngleGuardError,
     ClosedLoop,
     ControlInputs,
+    DenominatorTooSmallError,
     NonFiniteError,
     QuadrotorParams,
     Scenario,
@@ -14,6 +16,7 @@ from quadtrack import (
     mix_inputs_to_rotor_speeds,
     state_derivative,
 )
+from quadtrack.position import MIN_EXTRACTION_DENOMINATOR
 
 PARAMS = QuadrotorParams()
 HOVER = ControlInputs(PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
@@ -43,9 +46,12 @@ SITES = [
     pytest.param("disturbance", 4, lambda bad: plant(disturbance=replaced([0.0] * 6, 4, bad)),
                  id="disturbance"),
     pytest.param("residual speed", 0, lambda bad: plant(omega_r=bad), id="residual speed"),
-    pytest.param("virtual control", 3,
-                 lambda bad: extract_thrust_and_attitude(PARAMS, 0.0, 0.0, 0.0, bad),
+    pytest.param("virtual control", 2,
+                 lambda bad: extract_thrust_and_attitude(PARAMS, 0.0, 0.0, bad, 0.0),
                  id="virtual control"),
+    pytest.param("yaw setpoint", 0,
+                 lambda bad: extract_thrust_and_attitude(PARAMS, 0.0, 0.0, 0.0, bad),
+                 id="yaw setpoint"),
     pytest.param("inputs", 2,
                  lambda bad: mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(1.0, 0.0, bad, 0.0)),
                  id="mixer"),
@@ -59,3 +65,12 @@ def test_every_runtime_site_names_the_entry(what, entry, call, bad):
     with pytest.raises(NonFiniteError) as exc:
         call(bad)
     assert str(exc.value) == f"non-finite {what} entry {entry}: {bad!r}"
+
+
+def test_guard_errors_carry_their_fault_values():
+    with pytest.raises(DenominatorTooSmallError) as exc:
+        extract_thrust_and_attitude(PARAMS, 0.0, 0.0, -PARAMS.g + 0.05, 0.0)
+    assert exc.value.value == pytest.approx(0.05)
+    assert exc.value.limit == MIN_EXTRACTION_DENOMINATOR
+    err = AngleGuardError(0.25, 1.6, -0.2)
+    assert (err.t, err.roll, err.pitch) == (0.25, 1.6, -0.2)

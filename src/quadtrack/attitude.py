@@ -1,15 +1,16 @@
-"""Inner-loop output-feedback backstepping laws for roll, pitch, and yaw.
+"""Inner-loop output-feedback backstepping for roll, pitch, and yaw.
 
 Each axis runs the same machinery: a command filter smoothing the desired
 angle, a tracking error xi1, an auxiliary rate command nu, a first-order
-lag sigma on nu, a rate error xi2, and a torque law that cancels the known
-gyroscopic coupling and the estimated disturbance.  The coupling and the
-input gain are the plant's own model functions, imported from vehicle.
+lag sigma on nu, a rate error xi2, and the translational backstepping law
+with the gyroscopic coupling folded into xi1, divided by the input gain.
+The coupling and the gain are the plant's own model functions, from vehicle.
 """
 
 import math
 from dataclasses import dataclass
 
+from .position import position_virtual_control
 from .vehicle import QuadrotorParams, attitude_coupling, attitude_input_gain
 
 
@@ -70,11 +71,9 @@ def attitude_torque(
     axis: str,
     params: QuadrotorParams,
     k: float,
-    tau: float,
     xi1: float,
     xi2: float,
-    nu: float,
-    sigma: float,
+    dsigma: float,
     rate_a: float,
     rate_b: float,
     omega_r: float,
@@ -83,12 +82,11 @@ def attitude_torque(
 ) -> float:
     """Channel input (U_phi, U_theta, or U_psi) from the backstepping law.
 
-    The law inverts the input gain and cancels the modeled coupling, the
-    disturbance estimate, and the filter mismatch, while feeding forward the
-    command-rate derivative dz2:
+    The translational law (position_virtual_control) with the modeled
+    coupling folded into xi1, divided by the input gain g1:
 
-        u = -g1^-1 (xi1 + coupling - dz2 - (nu - sigma)/tau + k xi2 + dhat)
+        u = (-(xi1 + coupling) + dz2 + dsigma - k xi2 - dhat) / g1
     """
     coupling = attitude_coupling(axis, params, rate_a, rate_b, omega_r)
     g1 = attitude_input_gain(axis, params)
-    return -(xi1 + coupling - dz2 - (nu - sigma) / tau + k * xi2 + dhat) / g1
+    return position_virtual_control(k, xi1 + coupling, xi2, dsigma, dz2, dhat) / g1

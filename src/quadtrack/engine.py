@@ -30,7 +30,7 @@ Augmented state layout (48 entries): plant states 0..11, then one rig per
 channel in the order roll, pitch, yaw, x, y, z.
 
 ClosedLoop builds its per-rig constant tables once: the front half's (rig
-base, output index, p, tau, m1, m2, lam), the law's (k, tau) and the
+base, output index, p, tau, m1, m2, lam), the law's gain k and the
 observers' (rig base, output index, beta1, beta2, eps, lam).  An evaluation
 is then one flat pass that keeps each rig's front-half results in locals.
 The leaf calls stay fixed all the same: every leaf is called by name from
@@ -115,7 +115,7 @@ class ClosedLoop:
             g = scenario.gains[ch]
             base = PLANT_DIM + RIG_SIZE * i
             fronts.append((base, 2 * i, g.p, g.tau, g.m1, g.m2, g.lam))
-            laws.append((g.k, g.tau))
+            laws.append(g.k)
             observers.append((base, 2 * i, g.beta1, g.beta2, g.eps, g.lam))
         self._fronts, self._laws, self._observers = tuple(fronts), tuple(laws), tuple(observers)
         self._att_gain = tuple(attitude_input_gain(ax, self.params) for ax in CHANNELS[:3])
@@ -166,10 +166,10 @@ class ClosedLoop:
 
         rig is the rig's row of front-half constants.  Returns the flat tuple
 
-            0 dz1   1 dz2   2 dsigma   3 xi1   4 xi2   5 nu   6 sigma   7 dhat   8 rate
+            0 dz1   1 dz2   2 dsigma   3 xi1   4 xi2   5 dhat   6 rate
 
-        where rate is what the law and the DO read: the HGO estimate, or the
-        true rate under oracle feedback.
+        where rate is what the law and the DO read (the HGO estimate, or the
+        true rate under oracle feedback); the law also reads dsigma.
         """
         base, out, p, tau, m1, m2, lam = rig
         z1, z2, sg, fb1, fb2, gm = st[base:base + RIG_SIZE]
@@ -178,7 +178,7 @@ class ClosedLoop:
             fb1, fb2 = st[out], st[out + 1]
         xi1, xi2, nu = channel_errors(p, fb1, fb2, z1, z2, sg)
         dsg = first_order_filter_derivative(sg, nu, tau)
-        return dz1, dz2, dsg, xi1, xi2, nu, sg, do_estimate(gm, lam, fb2), fb2
+        return dz1, dz2, dsg, xi1, xi2, do_estimate(gm, lam, fb2), fb2
 
     def _model(self, outputs, rates, omega_r, up):
         """Rate-row model terms, inputs left out, at outputs and rates in CHANNELS order."""
@@ -200,19 +200,16 @@ class ClosedLoop:
         params = self.params
         front = self._front
         rig0, rig1, rig2, rig3, rig4, rig5 = self._fronts
-        (k0, tau0), (k1, tau1), (k2, tau2), (k3, tau3), (k4, tau4), (k5, tau5) = self._laws
+        k0, k1, k2, k3, k4, k5 = self._laws
         xyz = self._traj(t)
         f3 = front(rig3, st, xyz[0])
         f4 = front(rig4, st, xyz[1])
         f5 = front(rig5, st, xyz[2])
         do_on = self._position_do
         virtuals = (
-            position_virtual_control(k3, tau3, f3[3], f3[4], f3[5], f3[6], f3[1],
-                                     f3[7] if do_on else 0.0),
-            position_virtual_control(k4, tau4, f4[3], f4[4], f4[5], f4[6], f4[1],
-                                     f4[7] if do_on else 0.0),
-            position_virtual_control(k5, tau5, f5[3], f5[4], f5[5], f5[6], f5[1],
-                                     f5[7] if do_on else 0.0),
+            position_virtual_control(k3, f3[3], f3[4], f3[2], f3[1], f3[5] if do_on else 0.0),
+            position_virtual_control(k4, f4[3], f4[4], f4[2], f4[1], f4[5] if do_on else 0.0),
+            position_virtual_control(k5, f5[3], f5[4], f5[2], f5[1], f5[5] if do_on else 0.0),
         )
         phi_des, theta_des, psi_des, up = extract_thrust_and_attitude(
             params, *virtuals, self._psi_des)
@@ -220,18 +217,18 @@ class ClosedLoop:
         f1 = front(rig1, st, theta_des)
         f2 = front(rig2, st, psi_des)
 
-        rate0, rate1, rate2 = f0[8], f1[8], f2[8]
+        rate0, rate1, rate2 = f0[6], f1[6], f2[6]
         fixed = params.fixed_residual_speed
         omega_r = 0.0 if fixed is None else fixed
         for _ in range(1 if fixed is not None else 2):
             u = ControlInputs(
                 up,
-                attitude_torque("roll", params, k0, tau0, f0[3], f0[4], f0[5], f0[6],
-                                rate1, rate2, omega_r, f0[1], f0[7]),
-                attitude_torque("pitch", params, k1, tau1, f1[3], f1[4], f1[5], f1[6],
-                                rate0, rate2, omega_r, f1[1], f1[7]),
-                attitude_torque("yaw", params, k2, tau2, f2[3], f2[4], f2[5], f2[6],
-                                rate0, rate1, omega_r, f2[1], f2[7]),
+                attitude_torque("roll", params, k0, f0[3], f0[4], f0[2],
+                                rate1, rate2, omega_r, f0[1], f0[5]),
+                attitude_torque("pitch", params, k1, f1[3], f1[4], f1[2],
+                                rate0, rate2, omega_r, f1[1], f1[5]),
+                attitude_torque("yaw", params, k2, f2[3], f2[4], f2[2],
+                                rate0, rate1, omega_r, f2[1], f2[5]),
             )
             mix = mix_inputs_to_rotor_speeds(params, u)
             omega_r = residual_speed(params, mix.speeds)
@@ -261,7 +258,7 @@ class ClosedLoop:
             dxh1, dxh2 = hgo_derivative(st[base + 3], st[base + 4], b1, b2, eps, st[out],
                                         nom, inp)
             rows += (f[0], f[1], f[2], dxh1, dxh2,
-                     do_derivative(st[base + 5], lam, f[8], fb, inp))
+                     do_derivative(st[base + 5], lam, f[6], fb, inp))
         deriv = np.array(rows)
         if not collect:
             return deriv
@@ -270,7 +267,7 @@ class ClosedLoop:
         for base, *_ in self._observers:
             row += (st[base + 3], st[base + 4])
         row += [*xyz, phi_des, theta_des, psi_des, *u, *mix.speeds, *virtuals, *d_now,
-                f0[7], f1[7], f2[7], f3[7], f4[7], f5[7]]
+                f0[5], f1[5], f2[5], f3[5], f4[5], f5[5]]
         row += [st[6] - xyz[0], st[8] - xyz[1], st[10] - xyz[2],
                 st[0] - phi_des, st[2] - theta_des, st[4] - psi_des]
         return deriv, row

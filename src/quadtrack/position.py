@@ -21,21 +21,19 @@ MIN_EXTRACTION_DENOMINATOR = 0.1
 
 def position_virtual_control(
     k: float,
-    tau: float,
     xi1: float,
     xi2: float,
-    nu: float,
-    sigma: float,
+    dsigma: float,
     dz2: float,
     dhat: float,
 ) -> float:
-    """Acceleration command for one translational axis [m/s^2].
+    """Backstepping law in acceleration units, for one translational axis [m/s^2].
 
-    Mirrors the attitude law with unit input gain and no coupling term; the
-    disturbance estimate is subtracted so the observer closes the loop
-    (pass dhat = 0 to reproduce the bare law).
+    It reads the lag filter's own derivative dsigma, so no virtual control is
+    differentiated, and subtracts the disturbance estimate (dhat = 0 gives the
+    bare law).  The attitude channels apply it too, through attitude_torque.
     """
-    return -xi1 + dz2 + (nu - sigma) / tau - k * xi2 - dhat
+    return -xi1 + dz2 + dsigma - k * xi2 - dhat
 
 
 def extract_thrust_and_attitude(

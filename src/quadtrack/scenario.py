@@ -146,11 +146,15 @@ class Scenario:
         kind = self.trajectory.get("type")
         if kind not in ("helix", "waypoints"):
             raise ScenarioError(f"unknown trajectory type: {kind!r}")
+        # The scenario keeps its own copy, waypoint rows as tuples, so no caller can edit it.
+        trajectory = dict(self.trajectory)
         if kind == "waypoints":
             try:
-                waypoint_trajectory(self.trajectory.get("points", ()))
+                waypoint_trajectory(trajectory.get("points", ()))
             except (TypeError, ValueError) as exc:
                 raise ScenarioError(f"bad waypoints: {exc}") from exc
+            trajectory["points"] = tuple(map(tuple, trajectory["points"]))
+        object.__setattr__(self, "trajectory", trajectory)
 
 
 # --- dict <-> dataclass plumbing -------------------------------------------
@@ -257,7 +261,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return {
         "params": dataclasses.asdict(sc.params),
         "gains": {ch: dataclasses.asdict(sc.gains[ch]) for ch in CHANNELS},
-        "trajectory": sc.trajectory,
+        "trajectory": dict(sc.trajectory),
         "disturbances": {ch: disturbance_to_dict(sc.disturbances[ch]) for ch in CHANNELS},
         "psi_des": sc.psi_des,
         "initial_state": list(sc.initial_state),

@@ -56,14 +56,14 @@ def simulate_roll_regulation(
         dz1, dz2 = command_filter_derivative(z1, z2, gains.m1, gains.m2, reference)
         xi1, xi2, nu = channel_errors(gains.p, x1, x2, z1, z2, sg)
         dhat = do_estimate(gm, gains.lam, x2) if use_do else 0.0
-        u = attitude_torque("roll", params, gains.k, gains.tau, xi1, xi2, nu, sg,
+        dsg = first_order_filter_derivative(sg, nu, gains.tau)
+        u = attitude_torque("roll", params, gains.k, xi1, xi2, dsg,
                             0.0, 0.0, 0.0, dz2, dhat)
-        return dz1, dz2, nu, xi1, xi2, dhat, u
+        return dz1, dz2, dsg, xi1, xi2, dhat, u
 
     def deriv(t, s):
-        x1, x2, _, _, sg, gm = s
-        dz1, dz2, nu, _, _, _, u = law(s)
-        dsg = first_order_filter_derivative(sg, nu, gains.tau)
+        x1, x2, _, _, _, gm = s
+        dz1, dz2, dsg, _, _, _, u = law(s)
         dgm = do_derivative(gm, gains.lam, x2, 0.0, g1 * u) if use_do else 0.0
         return np.array([x2, g1 * u + disturbance(t), dz1, dz2, dsg, dgm])
 

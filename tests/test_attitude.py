@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtrack import (
     ChannelGains,
@@ -8,6 +12,8 @@ from quadtrack import (
     attitude_input_gain,
     attitude_torque,
     channel_errors,
+    first_order_filter_derivative,
+    position_virtual_control,
 )
 from support import simulate_roll_regulation
 
@@ -40,13 +46,13 @@ class TestChannelErrors:
 class TestTorqueLaw:
     def test_equilibrium_output_is_zero(self):
         for axis in ("roll", "pitch", "yaw"):
-            u = attitude_torque(axis, PARAMS, 120.0, 0.05, 0.0, 0.0, 0.3, 0.3,
+            u = attitude_torque(axis, PARAMS, 120.0, 0.0, 0.0, 0.0,
                                 0.0, 0.0, 0.0, 0.0, 0.0)
             assert u == 0.0
 
     def test_roll_rate_error_gain(self):
         # only k*xi2 active: u = -(Ix/l) * k * xi2
-        u = attitude_torque("roll", PARAMS, 120.0, 0.05, 0.0, 0.1, 0.0, 0.0,
+        u = attitude_torque("roll", PARAMS, 120.0, 0.0, 0.1, 0.0,
                             0.0, 0.0, 0.0, 0.0, 0.0)
         assert u == pytest.approx(-(PARAMS.Ix / PARAMS.l) * 12.0, rel=1e-12)
         assert u == pytest.approx(-0.3830, abs=5e-5)
@@ -54,7 +60,8 @@ class TestTorqueLaw:
     def test_yaw_coupling_vanishes_with_symmetric_inertia(self):
         # Ix == Iy on this airframe, so equal cross rates add nothing.
         assert attitude_coupling("yaw", PARAMS, 1.0, 1.0, 50.0) == 0.0
-        u = attitude_torque("yaw", PARAMS, 10.0, 0.05, 0.02, 0.1, 0.05, 0.01,
+        u = attitude_torque("yaw", PARAMS, 10.0, 0.02, 0.1,
+                            first_order_filter_derivative(0.01, 0.05, 0.05),
                             1.0, 1.0, 50.0, 0.03, 0.2)
         expected = -PARAMS.Iz * (0.02 - 0.03 - (0.05 - 0.01) / 0.05 + 10.0 * 0.1 + 0.2)
         assert u == pytest.approx(expected, rel=1e-12)
@@ -66,9 +73,10 @@ class TestTorqueLaw:
             for _ in range(25):
                 xi1, xi2, nu, sg, ra, rb, omr, dz2, dhat = rng.normal(0.0, 1.0, 9)
                 delta = rng.normal()
-                u0 = attitude_torque(axis, PARAMS, 10.0, 0.05, xi1, xi2, nu, sg,
+                dsg = first_order_filter_derivative(sg, nu, 0.05)
+                u0 = attitude_torque(axis, PARAMS, 10.0, xi1, xi2, dsg,
                                      ra, rb, omr, dz2, dhat)
-                u1 = attitude_torque(axis, PARAMS, 10.0, 0.05, xi1, xi2, nu, sg,
+                u1 = attitude_torque(axis, PARAMS, 10.0, xi1, xi2, dsg,
                                      ra, rb, omr, dz2, dhat + delta)
                 assert u1 - u0 == pytest.approx(-delta / g1, rel=1e-9, abs=1e-12)
 
@@ -80,6 +88,32 @@ class TestTorqueLaw:
             ((p.Iz - p.Ix) * 6.0 - p.Ir * 10.0 * 2.0) / p.Iy)
         assert attitude_coupling("yaw", p, 2.0, 3.0, 0.0) == pytest.approx(
             (p.Ix - p.Iy) * 6.0 / p.Iz)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+class TestOneLaw:
+    # The attitude torque is the translational law with the coupling folded
+    # into xi1, over the input gain.  As a number it equals the closed form
+    # -(xi1 + coupling - dz2 - dsigma + k xi2 + dhat) / g1, because rounding
+    # is symmetric; only where that form rounds to an exact zero does the
+    # sign of the zero differ.
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(("roll", "pitch", "yaw")), st.floats(1e-3, 1e3), st.floats(1e-3, 1.0),
+           st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
+    def test_torque_is_the_position_law_over_the_input_gain(self, axis, k, tau, values):
+        xi1, xi2, nu, sigma, ra, rb, omr, dz2, dhat = values
+        dsigma = first_order_filter_derivative(sigma, nu, tau)
+        coupling = attitude_coupling(axis, PARAMS, ra, rb, omr)
+        g1 = attitude_input_gain(axis, PARAMS)
+        u = attitude_torque(axis, PARAMS, k, xi1, xi2, dsigma, ra, rb, omr, dz2, dhat)
+        assert u == -(xi1 + coupling - dz2 - (nu - sigma) / tau + k * xi2 + dhat) / g1
+        v = position_virtual_control(k, xi1, xi2, dsigma, dz2, dhat)
+        assert _bits(v) == _bits(-xi1 + dz2 + (nu - sigma) / tau - k * xi2 - dhat)
+        law = position_virtual_control(k, xi1 + coupling, xi2, dsigma, dz2, dhat)
+        assert _bits(u) == _bits(law / g1)
 
 
 ROLL_GAINS = ChannelGains(p=100.0, k=120.0, lam=10.0)

@@ -347,9 +347,9 @@ class TestResidualSpeedPasses:
 
         def recording_speed(params, w):
             omega = speed(params, w)
-            if len(calls) == 6:  # both passes done; args[10] is the residual speed
+            if len(calls) == 6:  # both passes done; args[8] is the residual speed
                 for args, value in calls[3:]:
-                    again = torque(*args[:10], omega, *args[11:])
+                    again = torque(*args[:8], omega, *args[9:])
                     gaps[args[0]] = max(gaps[args[0]], abs(again - value))
                 calls.clear()
                 evaluations.append(omega)

@@ -23,13 +23,13 @@ EPS = np.finfo(float).eps
 
 class TestVirtualControlLaw:
     def test_zero(self):
-        assert position_virtual_control(5.0, 0.05, 0.0, 0.0, 0.1, 0.1, 0.0, 0.0) == 0.0
+        assert position_virtual_control(5.0, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_rate_error_gain(self):
-        assert position_virtual_control(5.0, 0.05, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0) == pytest.approx(-1.0)
+        assert position_virtual_control(5.0, 0.0, 0.2, 0.0, 0.0, 0.0) == pytest.approx(-1.0)
 
     def test_pure_disturbance_cancellation(self):
-        assert position_virtual_control(5.0, 0.05, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5) == pytest.approx(-0.5)
+        assert position_virtual_control(5.0, 0.0, 0.0, 0.0, 0.0, 0.5) == pytest.approx(-0.5)
 
 
 class TestThrustAttitudeExtraction:

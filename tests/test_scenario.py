@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from quadtrack import (
     Step,
     load_scenario,
     make_generator,
+    run_scenario,
     scenario_digest,
     scenario_from_dict,
     scenario_to_dict,
@@ -174,6 +176,20 @@ class TestValidationErrors:
     def test_construction_validates(self, change):
         with pytest.raises(ScenarioError):
             dataclasses.replace(Scenario(), **change)
+
+
+class TestScenarioOwnsItsTrajectory:
+    def test_editing_the_input_or_the_output_dict_changes_neither_digest_nor_run(self):
+        raw = {"trajectory": {"type": "waypoints", "points": [[0, 0, 0, 1], [1, 1, 0, 1]]},
+               "sim": {"duration": 0.05}}
+        pristine = scenario_from_dict(copy.deepcopy(raw))
+        sc = scenario_from_dict(raw)
+        raw["trajectory"]["points"][1][0] = -5.0
+        scenario_to_dict(sc)["trajectory"]["type"] = "helix"
+        assert scenario_digest(sc) == scenario_digest(pristine)
+        log, metrics = run_scenario(sc)
+        assert metrics.completed
+        assert np.array_equal(log.data, run_scenario(pristine).log.data)
 
 
 class TestFileLoading:

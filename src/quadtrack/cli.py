@@ -82,8 +82,8 @@ def _run_command(args) -> int:
               file=sys.stderr)
         print(f"partial trace written to {args.out}", file=sys.stderr)
         return EXIT_GUARD
-    rmse = summary["tracking_rmse"]
-    print("tracking RMSE  " + "  ".join(f"{ch}={rmse[ch]:.4g}" for ch in rmse))
+    print("tracking RMSE  " + "  ".join(f"{ch}={'null' if v is None else format(v, '.4g')}"
+                                        for ch, v in summary["tracking_rmse"].items()))
     print(f"outputs written to {args.out}")
     return EXIT_OK
 

@@ -107,11 +107,11 @@ class NoDisturbance:
 DisturbanceSpec = Union[Sinusoid, Step, Ramp, SampledNoise, NoDisturbance]
 
 
-def noise_boundary_values(kind: NoiseKind, seed, count: int, hold: float = None) -> np.ndarray:
+def noise_boundary_values(kind: NoiseKind, seed, count: int, hold: float) -> np.ndarray:
     """The first `count` hold-boundary values of a seeded noise stream.
 
-    Same seed, same sequence.  Band-limited noise needs the outer hold so
-    the inner white sequence can be subsampled at the boundaries.
+    Same seed, same sequence.  Band-limited noise reads the outer hold to
+    subsample its inner white sequence at the boundaries.
     """
     rng = np.random.default_rng(seed)
     if isinstance(kind, GaussianNoise):
@@ -119,8 +119,6 @@ def noise_boundary_values(kind: NoiseKind, seed, count: int, hold: float = None)
     if isinstance(kind, UniformNoise):
         return rng.uniform(kind.low, kind.high, count)
     if isinstance(kind, BandLimitedNoise):
-        if hold is None:
-            raise ValueError("band-limited noise needs the hold interval")
         inner_count = int(math.floor((count - 1) * hold / kind.inner_dt)) + 1 if count else 0
         white = rng.normal(0.0, math.sqrt(kind.power / kind.inner_dt), inner_count)
         idx = np.floor(np.arange(count) * hold / kind.inner_dt).astype(int)

@@ -183,9 +183,9 @@ class ClosedLoop:
     def _model(self, outputs, rates, omega_r, up):
         """Rate-row model terms, inputs left out, at outputs and rates in CHANNELS order."""
         params = self.params
-        return (attitude_coupling("roll", params, rates[1], rates[2], omega_r),
-                attitude_coupling("pitch", params, rates[0], rates[2], omega_r),
-                attitude_coupling("yaw", params, rates[0], rates[1], omega_r),
+        return (attitude_coupling("roll", params, rates, omega_r),
+                attitude_coupling("pitch", params, rates, omega_r),
+                attitude_coupling("yaw", params, rates, omega_r),
                 *acceleration_from_attitude(params, outputs[0], outputs[1], outputs[2], up))
 
     def _eval(self, t, a, collect):
@@ -217,18 +217,18 @@ class ClosedLoop:
         f1 = front(rig1, st, theta_des)
         f2 = front(rig2, st, psi_des)
 
-        rate0, rate1, rate2 = f0[6], f1[6], f2[6]
+        rates = (f0[6], f1[6], f2[6])
         fixed = params.fixed_residual_speed
         omega_r = 0.0 if fixed is None else fixed
         for _ in range(1 if fixed is not None else 2):
             u = ControlInputs(
                 up,
-                attitude_torque("roll", params, k0, f0[3], f0[4], f0[2],
-                                rate1, rate2, omega_r, f0[1], f0[5]),
-                attitude_torque("pitch", params, k1, f1[3], f1[4], f1[2],
-                                rate0, rate2, omega_r, f1[1], f1[5]),
-                attitude_torque("yaw", params, k2, f2[3], f2[4], f2[2],
-                                rate0, rate1, omega_r, f2[1], f2[5]),
+                attitude_torque("roll", params, k0, f0[3], f0[4], f0[2], rates, omega_r,
+                                f0[1], f0[5]),
+                attitude_torque("pitch", params, k1, f1[3], f1[4], f1[2], rates, omega_r,
+                                f1[1], f1[5]),
+                attitude_torque("yaw", params, k2, f2[3], f2[4], f2[2], rates, omega_r,
+                                f2[1], f2[5]),
             )
             mix = mix_inputs_to_rotor_speeds(params, u)
             omega_r = residual_speed(params, mix.speeds)
@@ -414,14 +414,17 @@ def write_trace(log: SimLog, path, decimation: int = 1):
 def read_trace(path) -> SimLog:
     """Read a write_trace CSV; a header-only trace reads as a (0, len(columns)) array.
 
-    A body that is not one value per column on every line raises SimulationError.
+    A missing header or a body that is not one value per column per line raises SimulationError.
     """
     try:
         with open(path) as fh:
-            columns = tuple(fh.readline().strip().split(","))
+            header = fh.readline().strip()
             body = fh.readlines()
     except OSError as exc:
         raise SimulationError(f"cannot read trace from {path}: {exc}") from exc
+    if not header:
+        raise SimulationError(f"trace {path} has no header line")
+    columns = tuple(header.split(","))
     if not body:
         return SimLog(columns=columns, data=np.empty((0, len(columns))))
     try:

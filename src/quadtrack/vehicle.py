@@ -11,9 +11,9 @@ State convention (12 entries, in this order):
 
 Roll and pitch are only valid on (-pi/2, pi/2); the simulation loop aborts
 well before the boundary.  The airframe model is stated once, here: each plant
-acceleration row is a model function (attitude_coupling, attitude_input_gain,
-acceleration_from_attitude) plus the disturbance, and the torque law and both
-observers use the same functions.
+acceleration row is a model function plus the disturbance, and the torque law
+and both observers use the same functions.  The rotational rows read one row
+per axis, built once per QuadrotorParams, at the (roll, pitch, yaw) rate triple.
 
 Inputs are the total thrust U_p [N], force-like roll/pitch inputs U_phi and
 U_theta (they enter the angular accelerations scaled by arm_length/inertia),
@@ -29,6 +29,7 @@ alternating spin directions driving yaw:
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -80,33 +81,29 @@ class QuadrotorParams:
         if self.fixed_residual_speed is not None and not math.isfinite(self.fixed_residual_speed):
             raise ValueError("fixed_residual_speed must be finite")
 
+    @cached_property
+    def _axis_rows(self):
+        # Per axis (a, b, c_ab, c_w, inertia, gain); attitude_coupling reads the first five.
+        return {"roll": (1, 2, self.Iy - self.Iz, self.Ir, self.Ix, self.l / self.Ix),
+                "pitch": (0, 2, self.Iz - self.Ix, -self.Ir, self.Iy, self.l / self.Iy),
+                "yaw": (0, 1, self.Ix - self.Iy, 0.0, self.Iz, 1.0 / self.Iz)}
+
 
 def attitude_coupling(
-    axis: str, params: QuadrotorParams, rate_a: float, rate_b: float, omega_r: float
+    axis: str, params: QuadrotorParams, rates: Sequence[float], omega_r: float
 ) -> float:
     """Torque-free angular acceleration of one axis [rad/s^2].
 
-    Rate arguments by axis: roll -> (pitch rate, yaw rate),
-    pitch -> (roll rate, yaw rate), yaw -> (roll rate, pitch rate).
+    rates is the (roll, pitch, yaw) triple; the axis's row picks ra = rates[a] and
+    rb = rates[b] and gives (c_ab ra rb + c_w omega_r ra) / inertia.
     """
-    if axis == "roll":
-        return ((params.Iy - params.Iz) * rate_a * rate_b + params.Ir * omega_r * rate_a) / params.Ix
-    if axis == "pitch":
-        return ((params.Iz - params.Ix) * rate_a * rate_b - params.Ir * omega_r * rate_a) / params.Iy
-    if axis == "yaw":
-        return (params.Ix - params.Iy) * rate_a * rate_b / params.Iz
-    raise ValueError(f"unknown attitude axis: {axis!r}")
+    a, b, c_ab, c_w, inertia, _ = params._axis_rows[axis]
+    return (c_ab * rates[a] * rates[b] + c_w * omega_r * rates[a]) / inertia
 
 
 def attitude_input_gain(axis: str, params: QuadrotorParams) -> float:
     """Gain from the channel input to angular acceleration [1/(kg m)] or [1/(kg m^2)]."""
-    if axis == "roll":
-        return params.l / params.Ix
-    if axis == "pitch":
-        return params.l / params.Iy
-    if axis == "yaw":
-        return 1.0 / params.Iz
-    raise ValueError(f"unknown attitude axis: {axis!r}")
+    return params._axis_rows[axis][5]
 
 
 def acceleration_from_attitude(
@@ -151,16 +148,17 @@ def state_derivative(
 
     ax, ay, az = acceleration_from_attitude(params, phi, theta, psi, up)
     d_phi, d_theta, d_psi, d_x, d_y, d_z = disturbance
+    rates = (dphi, dtheta, dpsi)
     return np.array(
         [
             dphi,
-            attitude_coupling("roll", params, dtheta, dpsi, omega_r)
+            attitude_coupling("roll", params, rates, omega_r)
             + attitude_input_gain("roll", params) * uphi + d_phi,
             dtheta,
-            attitude_coupling("pitch", params, dphi, dpsi, omega_r)
+            attitude_coupling("pitch", params, rates, omega_r)
             + attitude_input_gain("pitch", params) * utheta + d_theta,
             dpsi,
-            attitude_coupling("yaw", params, dphi, dtheta, omega_r)
+            attitude_coupling("yaw", params, rates, omega_r)
             + attitude_input_gain("yaw", params) * upsi + d_psi,
             vx,
             ax + d_x,

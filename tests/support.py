@@ -58,7 +58,7 @@ def simulate_roll_regulation(
         dhat = do_estimate(gm, gains.lam, x2) if use_do else 0.0
         dsg = first_order_filter_derivative(sg, nu, gains.tau)
         u = attitude_torque("roll", params, gains.k, xi1, xi2, dsg,
-                            0.0, 0.0, 0.0, dz2, dhat)
+                            (x2, 0.0, 0.0), 0.0, dz2, dhat)
         return dz1, dz2, dsg, xi1, xi2, dhat, u
 
     def deriv(t, s):

@@ -20,6 +20,10 @@ from support import simulate_roll_regulation
 PARAMS = QuadrotorParams()
 
 
+def _bits(x):
+    return struct.pack("<d", x)
+
+
 class TestChannelErrors:
     def test_perfect_tracking(self):
         xi1, xi2, nu = channel_errors(100.0, 0.2, 0.35, 0.2, 0.3, 0.05)
@@ -47,22 +51,22 @@ class TestTorqueLaw:
     def test_equilibrium_output_is_zero(self):
         for axis in ("roll", "pitch", "yaw"):
             u = attitude_torque(axis, PARAMS, 120.0, 0.0, 0.0, 0.0,
-                                0.0, 0.0, 0.0, 0.0, 0.0)
+                                (0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
             assert u == 0.0
 
     def test_roll_rate_error_gain(self):
         # only k*xi2 active: u = -(Ix/l) * k * xi2
         u = attitude_torque("roll", PARAMS, 120.0, 0.0, 0.1, 0.0,
-                            0.0, 0.0, 0.0, 0.0, 0.0)
+                            (0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
         assert u == pytest.approx(-(PARAMS.Ix / PARAMS.l) * 12.0, rel=1e-12)
         assert u == pytest.approx(-0.3830, abs=5e-5)
 
     def test_yaw_coupling_vanishes_with_symmetric_inertia(self):
         # Ix == Iy on this airframe, so equal cross rates add nothing.
-        assert attitude_coupling("yaw", PARAMS, 1.0, 1.0, 50.0) == 0.0
+        assert attitude_coupling("yaw", PARAMS, (1.0, 1.0, 0.0), 50.0) == 0.0
         u = attitude_torque("yaw", PARAMS, 10.0, 0.02, 0.1,
                             first_order_filter_derivative(0.01, 0.05, 0.05),
-                            1.0, 1.0, 50.0, 0.03, 0.2)
+                            (1.0, 1.0, 0.0), 50.0, 0.03, 0.2)
         expected = -PARAMS.Iz * (0.02 - 0.03 - (0.05 - 0.01) / 0.05 + 10.0 * 0.1 + 0.2)
         assert u == pytest.approx(expected, rel=1e-12)
 
@@ -71,27 +75,38 @@ class TestTorqueLaw:
         for axis in ("roll", "pitch", "yaw"):
             g1 = attitude_input_gain(axis, PARAMS)
             for _ in range(25):
-                xi1, xi2, nu, sg, ra, rb, omr, dz2, dhat = rng.normal(0.0, 1.0, 9)
+                xi1, xi2, nu, sg, r0, r1, r2, omr, dz2, dhat = rng.normal(0.0, 1.0, 10)
                 delta = rng.normal()
                 dsg = first_order_filter_derivative(sg, nu, 0.05)
                 u0 = attitude_torque(axis, PARAMS, 10.0, xi1, xi2, dsg,
-                                     ra, rb, omr, dz2, dhat)
+                                     (r0, r1, r2), omr, dz2, dhat)
                 u1 = attitude_torque(axis, PARAMS, 10.0, xi1, xi2, dsg,
-                                     ra, rb, omr, dz2, dhat + delta)
+                                     (r0, r1, r2), omr, dz2, dhat + delta)
                 assert u1 - u0 == pytest.approx(-delta / g1, rel=1e-9, abs=1e-12)
 
-    def test_coupling_expressions(self):
-        p = PARAMS
-        assert attitude_coupling("roll", p, 2.0, 3.0, 10.0) == pytest.approx(
-            ((p.Iy - p.Iz) * 6.0 + p.Ir * 10.0 * 2.0) / p.Ix)
-        assert attitude_coupling("pitch", p, 2.0, 3.0, 10.0) == pytest.approx(
-            ((p.Iz - p.Ix) * 6.0 - p.Ir * 10.0 * 2.0) / p.Iy)
-        assert attitude_coupling("yaw", p, 2.0, 3.0, 0.0) == pytest.approx(
-            (p.Ix - p.Iy) * 6.0 / p.Iz)
+    # The per-axis rows against the Euler rows written out term by term at
+    # body rates (p, q, r): roll and pitch bit for bit, yaw (whose row adds
+    # 0 * omega_r * p) in value; Ix varies so that the yaw row is not zero.
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(rates=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+           omega_r=st.floats(-2000.0, 2000.0), ix=st.floats(1e-3, 2e-2))
+    def test_coupling_expressions(self, rates, omega_r, ix):
+        prm = QuadrotorParams(Ix=ix)
+        p, q, r = rates
+        roll = ((prm.Iy - prm.Iz) * q * r + prm.Ir * omega_r * q) / prm.Ix
+        pitch = ((prm.Iz - prm.Ix) * p * r - prm.Ir * omega_r * p) / prm.Iy
+        yaw = (prm.Ix - prm.Iy) * p * q / prm.Iz
+        assert _bits(attitude_coupling("roll", prm, rates, omega_r)) == _bits(roll)
+        assert _bits(attitude_coupling("pitch", prm, rates, omega_r)) == _bits(pitch)
+        assert attitude_coupling("yaw", prm, rates, omega_r) == yaw
+        gains = tuple(attitude_input_gain(axis, prm) for axis in ("roll", "pitch", "yaw"))
+        assert gains == (prm.l / prm.Ix, prm.l / prm.Iy, 1.0 / prm.Iz)
 
-
-def _bits(x):
-    return struct.pack("<d", x)
+    def test_unknown_axis_is_named(self):
+        with pytest.raises(KeyError, match="bank"):
+            attitude_coupling("bank", PARAMS, (0.0, 0.0, 0.0), 0.0)
+        with pytest.raises(KeyError, match="bank"):
+            attitude_input_gain("bank", PARAMS)
 
 
 class TestOneLaw:
@@ -102,13 +117,13 @@ class TestOneLaw:
     # sign of the zero differ.
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(("roll", "pitch", "yaw")), st.floats(1e-3, 1e3), st.floats(1e-3, 1.0),
-           st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
+           st.lists(st.floats(-1e3, 1e3), min_size=10, max_size=10))
     def test_torque_is_the_position_law_over_the_input_gain(self, axis, k, tau, values):
-        xi1, xi2, nu, sigma, ra, rb, omr, dz2, dhat = values
+        xi1, xi2, nu, sigma, *rates, omr, dz2, dhat = values
         dsigma = first_order_filter_derivative(sigma, nu, tau)
-        coupling = attitude_coupling(axis, PARAMS, ra, rb, omr)
+        coupling = attitude_coupling(axis, PARAMS, rates, omr)
         g1 = attitude_input_gain(axis, PARAMS)
-        u = attitude_torque(axis, PARAMS, k, xi1, xi2, dsigma, ra, rb, omr, dz2, dhat)
+        u = attitude_torque(axis, PARAMS, k, xi1, xi2, dsigma, rates, omr, dz2, dhat)
         assert u == -(xi1 + coupling - dz2 - (nu - sigma) / tau + k * xi2 + dhat) / g1
         v = position_virtual_control(k, xi1, xi2, dsigma, dz2, dhat)
         assert _bits(v) == _bits(-xi1 + dz2 + (nu - sigma) / tau - k * xi2 - dhat)

@@ -206,6 +206,17 @@ class TestStrictJson:
         assert summary["estimation_rmse"]["roll"] is None
         assert summary["estimation_rmse"]["z"] is not None
 
+    def test_completed_run_with_null_rmse_prints_null(self, tmp_path, capsys):
+        # A z of -1e200 overflows e * e in compute_rmse, but no guard fires.
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({"initial_state": [0.0] * 10 + [-1e200, 0.0],
+                                   "sim": {"duration": 0.002}}))
+        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        summary = strict_json(tmp_path / "out" / "summary.json")
+        assert summary["completed"]
+        assert [ch for ch, v in summary["tracking_rmse"].items() if v is None] == ["x", "y", "z"]
+        assert "x=null  y=null  z=null" in capsys.readouterr().out
+
     def test_sweep_index_of_aborted_members_is_standard_json(self, tmp_path):
         cfg = tmp_path / "abort.json"
         cfg.write_text(json.dumps(self.IMMEDIATE_ABORT))

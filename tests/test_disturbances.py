@@ -79,12 +79,12 @@ class TestSampledNoise:
         assert gen.value(17.25) == v1
 
     def test_gaussian_statistics(self):
-        vals = noise_boundary_values(GaussianNoise(1.0), 99, 100_000)
+        vals = noise_boundary_values(GaussianNoise(1.0), 99, 100_000, hold=1.0)
         assert abs(vals.mean()) < 3.0 / math.sqrt(100_000)
         assert vals.var() == pytest.approx(1.0, rel=0.05)
 
     def test_uniform_statistics(self):
-        vals = noise_boundary_values(UniformNoise(-0.1, 0.1), 12, 100_000)
+        vals = noise_boundary_values(UniformNoise(-0.1, 0.1), 12, 100_000, hold=1.0)
         assert vals.min() >= -0.1 and vals.max() <= 0.1
         assert abs(vals.mean()) < 3 * (0.2 / math.sqrt(12)) / math.sqrt(100_000)
 
@@ -97,10 +97,6 @@ class TestSampledNoise:
         # outer hold below the inner step repeats inner values
         vals_fast = noise_boundary_values(kind, 5, 10, hold=0.05)
         assert vals_fast[0] == vals_fast[1]  # both inside the first inner step
-
-    def test_band_limited_requires_hold(self):
-        with pytest.raises(ValueError):
-            noise_boundary_values(BandLimitedNoise(1e-3, 0.1), 5, 10)
 
     # A shorter draw with the same seed is a bitwise prefix of a longer one,
     # so a short run sees the noise of the start of a long run.

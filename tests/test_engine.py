@@ -203,9 +203,7 @@ class TestObserverRows:
     @staticmethod
     def model(params, outputs, rates, omega_r, up):
         """The six rate-row model terms, inputs left out, in CHANNELS order."""
-        others = {"roll": (1, 2), "pitch": (0, 2), "yaw": (0, 1)}
-        return ([attitude_coupling(axis, params, rates[j], rates[k], omega_r)
-                 for axis, (j, k) in others.items()]
+        return ([attitude_coupling(axis, params, rates, omega_r) for axis in CHANNELS[:3]]
                 + list(acceleration_from_attitude(params, outputs[0], outputs[1], outputs[2], up)))
 
     @pytest.mark.parametrize("pinned", [None, 40.0], ids=["two_pass", "pinned"])
@@ -347,9 +345,9 @@ class TestResidualSpeedPasses:
 
         def recording_speed(params, w):
             omega = speed(params, w)
-            if len(calls) == 6:  # both passes done; args[8] is the residual speed
+            if len(calls) == 6:  # both passes done; args[7] is the residual speed
                 for args, value in calls[3:]:
-                    again = torque(*args[:8], omega, *args[9:])
+                    again = torque(*args[:7], omega, *args[8:])
                     gaps[args[0]] = max(gaps[args[0]], abs(again - value))
                 calls.clear()
                 evaluations.append(omega)
@@ -440,6 +438,12 @@ class TestTraceIo:
         back = read_trace(path)
         assert back.columns == COLUMNS
         assert back.data.shape == (0, len(COLUMNS))
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"")
+        with pytest.raises(SimulationError, match="no header line"):
+            read_trace(path)
 
     def test_special_values_round_trip(self, tmp_path):
         data = np.zeros((2, len(COLUMNS)))

@@ -107,24 +107,32 @@ class TestHighGainObserver:
         assert sups[0] > sups[1] > sups[2]
 
     def test_peaking_grows_as_eps_shrinks(self):
-        # Initial output mismatch delta0 produces a rate-estimate peak on the
-        # order of delta0/eps: the peak must grow monotonically across a
-        # decade of eps.
-        def peak(eps, delta0=1.0):
+        # The docstring's claim in closed form: peaking is the initial output
+        # mismatch delta0 over eps, times a constant of (b1, b2).  Against a
+        # plant at rest at delta0 the rate estimate is, in fast time s = t/eps,
+        # xhat2 = (delta0/eps) (b2/w) exp(-b1 s/2) sin(w s) with
+        # w = sqrt(b2 - b1^2/4), whose peak is at s* = atan(2w/b1)/w.
+        b1, b2, dt = 1.0, 2.0, 1e-4
+        w = math.sqrt(b2 - b1 * b1 / 4.0)
+        s_peak = math.atan(2.0 * w / b1) / w
+        shape = (b2 / w) * math.exp(-b1 * s_peak / 2.0) * math.sin(w * s_peak)
+        assert shape == pytest.approx(0.8953436, abs=1e-7)
+
+        def peak(eps, delta0):
             def f(t, s):
                 x1, x2, xh1, xh2 = s
-                dxh1, dxh2 = hgo_derivative(xh1, xh2, 1.0, 2.0, eps, x1, 0.0, 0.0)
+                dxh1, dxh2 = hgo_derivative(xh1, xh2, b1, b2, eps, x1, 0.0, 0.0)
                 return np.array([x2, 0.0, dxh1, dxh2])
 
             s = np.array([delta0, 0.0, 0.0, 0.0])
             top = 0.0
-            for i in range(int(round(2.0 / 1e-4))):
-                s = rk4_step(f, s, i * 1e-4, 1e-4)
+            for i in range(int(round(3.0 * eps / dt))):  # past the peak at s* = 0.91
+                s = rk4_step(f, s, i * dt, dt)
                 top = max(top, abs(s[3]))
             return top
 
-        peaks = [peak(eps) for eps in (0.2, 0.1, 0.05, 0.02)]
-        assert all(a < b for a, b in zip(peaks, peaks[1:]))
+        for eps, delta0 in ((0.2, 1.0), (0.1, 1.0), (0.05, 1.0), (0.02, 1.0), (0.05, 3.0)):
+            assert peak(eps, delta0) * eps / delta0 == pytest.approx(shape, rel=1e-6), (eps, delta0)
 
     def test_random_positive_gains_give_stable_error_dynamics(self):
         # Against a plant at rest at the origin the estimation error obeys

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -128,15 +129,27 @@ class TestPlantIsTheModel:
                                                                 omega_r, d):
         # The plant, the torque law and the observers share one model: every
         # acceleration row equals its model function plus the disturbance, exactly.
-        phi, dphi, theta, dtheta, psi, dpsi = state[:6]
-        rates = {"roll": (dtheta, dpsi), "pitch": (dphi, dpsi), "yaw": (dphi, dtheta)}
-        expected = [attitude_coupling(axis, PARAMS, *rates[axis], omega_r)
+        phi, theta, psi = state[0:6:2]
+        rates = state[1:6:2]
+        expected = [attitude_coupling(axis, PARAMS, rates, omega_r)
                     + attitude_input_gain(axis, PARAMS) * u + d_axis
-                    for axis, u, d_axis in zip(rates, torques, d)]
+                    for axis, u, d_axis in zip(("roll", "pitch", "yaw"), torques, d)]
         accel = acceleration_from_attitude(PARAMS, phi, theta, psi, up)
         expected += [a + d_axis for a, d_axis in zip(accel, d[3:])]
         ds = state_derivative(PARAMS, state, ControlInputs(up, *torques), omega_r, d)
         assert ds[1::2].tolist() == expected
+
+
+class TestAxisRows:
+    def test_table_is_not_a_field(self):
+        # Reading the table leaves asdict and equality alone; replace builds a new one.
+        prm = QuadrotorParams()
+        before = dataclasses.asdict(prm)
+        assert attitude_input_gain("roll", prm) == prm.l / prm.Ix
+        assert dataclasses.asdict(prm) == before
+        assert prm == QuadrotorParams()
+        wider = dataclasses.replace(prm, Ix=2 * prm.Ix)
+        assert attitude_input_gain("roll", wider) == wider.l / wider.Ix
 
 
 class TestMixing:

@@ -7,10 +7,10 @@ with the gyroscopic coupling folded into xi1, divided by the input gain.
 The coupling and the gain are the plant's own model functions, from vehicle.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import require_fields
 from .position import position_virtual_control
 from .vehicle import QuadrotorParams, attitude_coupling, attitude_input_gain
 
@@ -35,22 +35,19 @@ class ChannelGains:
     eps: float = 0.05      # HGO time-scale parameter, in (0, 1]
 
     def __post_init__(self):
-        checks = (
-            ("p", self.p > 0.0),
-            ("k", self.k > 0.0),
-            ("lam", self.lam > 0.5),
-            ("tau", 0.0 < self.tau <= 1.0),
-            ("m1", self.m1 > 0.0),
-            ("m2", self.m2 > 0.0),
-            ("beta1", self.beta1 > 0.0),
-            ("beta2", self.beta2 > 0.0),
+        require_fields(
+            self,
+            p=self.p > 0.0,
+            k=self.k > 0.0,
+            lam=self.lam > 0.5,
+            tau=0.0 < self.tau <= 1.0,
+            m1=self.m1 > 0.0,
+            m2=self.m2 > 0.0,
+            beta1=self.beta1 > 0.0,
+            beta2=self.beta2 > 0.0,
             # The HGO divides by eps * eps, so its square must not underflow to 0.
-            ("eps", 0.0 < self.eps <= 1.0 and self.eps * self.eps > 0.0),
+            eps=0.0 < self.eps <= 1.0 and self.eps * self.eps > 0.0,
         )
-        for name, ok in checks:
-            value = getattr(self, name)
-            if not (ok and math.isfinite(value)):
-                raise ValueError(f"ChannelGains.{name} out of range: {value}")
 
 
 def channel_errors(

@@ -13,6 +13,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .errors import require_fields
+
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -21,9 +23,7 @@ class Sinusoid:
     phase: float = 0.0
 
     def __post_init__(self):
-        for v in (self.amplitude, self.omega, self.phase):
-            if not math.isfinite(v):
-                raise ValueError("sinusoid parameters must be finite")
+        require_fields(self, amplitude=True, omega=True, phase=True)
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ class Step:
     onset: float          # [s]; output is 0 before, value from onset on
 
     def __post_init__(self):
-        if not (math.isfinite(self.value) and math.isfinite(self.onset) and self.onset >= 0.0):
-            raise ValueError("step needs finite value and onset >= 0")
+        require_fields(self, value=True, onset=self.onset >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,7 @@ class Ramp:
     hold_after: bool = False  # hold the end value instead of dropping to 0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.offset, self.slope, self.end)):
-            raise ValueError("ramp parameters must be finite")
-        if self.end < 0.0:
-            raise ValueError("ramp end time must be >= 0")
+        require_fields(self, offset=True, slope=True, end=self.end >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,7 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError("gaussian sigma must be finite and >= 0")
+        require_fields(self, sigma=self.sigma >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -65,8 +60,7 @@ class UniformNoise:
     high: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.low) and math.isfinite(self.high) and self.high >= self.low):
-            raise ValueError("uniform bounds must be finite with high >= low")
+        require_fields(self, low=True, high=self.high >= self.low)
 
 
 @dataclass(frozen=True)
@@ -77,10 +71,7 @@ class BandLimitedNoise:
     inner_dt: float       # [s]
 
     def __post_init__(self):
-        if not (math.isfinite(self.power) and self.power >= 0.0):
-            raise ValueError("band-limited power must be finite and >= 0")
-        if not (math.isfinite(self.inner_dt) and self.inner_dt > 0.0):
-            raise ValueError("band-limited inner_dt must be > 0")
+        require_fields(self, power=self.power >= 0.0, inner_dt=self.inner_dt > 0.0)
 
 
 NoiseKind = Union[GaussianNoise, UniformNoise, BandLimitedNoise]
@@ -93,8 +84,7 @@ class SampledNoise:
     seed: Optional[int] = None  # None: derived from the scenario master seed
 
     def __post_init__(self):
-        if not (math.isfinite(self.hold) and self.hold > 0.0):
-            raise ValueError("hold interval must be > 0")
+        require_fields(self, hold=self.hold > 0.0)
         if self.seed is not None and not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError("noise seed must be a nonnegative integer")
 

@@ -83,6 +83,9 @@ PLANT_DIM = 12
 RIG_SIZE = 6
 STATE_DIM = PLANT_DIM + RIG_SIZE * len(CHANNELS)
 
+# Channel symbols in CHANNELS order; channel i's estimate and truth are xhat{2i+1} and x{2i+1}.
+_SYMBOLS = ("phi", "theta", "psi", "x", "y", "z")
+
 COLUMNS = (
     ("t",)
     + tuple(f"x{i}" for i in range(1, 13))
@@ -91,9 +94,9 @@ COLUMNS = (
     + ("Up", "Uphi", "Utheta", "Upsi")
     + ("w1", "w2", "w3", "w4")
     + ("Ux", "Uy", "Uz")
-    + ("d_phi", "d_theta", "d_psi", "d_x", "d_y", "d_z")
-    + ("dhat_phi", "dhat_theta", "dhat_psi", "dhat_x", "dhat_y", "dhat_z")
-    + ("e_x", "e_y", "e_z", "e_phi", "e_theta", "e_psi")
+    + tuple(f"d_{s}" for s in _SYMBOLS)
+    + tuple(f"dhat_{s}" for s in _SYMBOLS)
+    + tuple(f"e_{s}" for s in _SYMBOLS[3:] + _SYMBOLS[:3])
 )
 
 TRACE_SCHEMA_VERSION = 5
@@ -231,7 +234,8 @@ class ClosedLoop:
                                 f2[1], f2[5]),
             )
             mix = mix_inputs_to_rotor_speeds(params, u)
-            omega_r = residual_speed(params, mix.speeds)
+            if fixed is None:
+                omega_r = residual_speed(mix.speeds)
 
         v0, v1, v2, v3, v4, v5 = self._values
         d_now = (v0(t), v1(t), v2(t), v3(t), v4(t), v5(t))
@@ -320,12 +324,6 @@ class RunResult(NamedTuple):
     metrics: Metrics
 
 
-# Tracking-error column and (estimate, truth) columns per channel.
-_TRACK_COL = {"roll": "e_phi", "pitch": "e_theta", "yaw": "e_psi",
-              "x": "e_x", "y": "e_y", "z": "e_z"}
-_EST_COLS = {"roll": ("xhat1", "x1"), "pitch": ("xhat3", "x3"), "yaw": ("xhat5", "x5"),
-             "x": ("xhat7", "x7"), "y": ("xhat9", "x9"), "z": ("xhat11", "x11")}
-
 # A channel counts as settled once |error| stays below this fraction of its
 # peak for the rest of the window.
 SETTLE_FRACTION = 0.1
@@ -340,8 +338,8 @@ def compute_rmse(log: SimLog, window: Tuple[float, float]) -> Metrics:
         raise ValueError(f"window {window} selects no samples")
     tw = t[mask]
     tracking_rmse, estimation_rmse, peaks, settle = {}, {}, {}, {}
-    for ch in CHANNELS:
-        e = log.column(_TRACK_COL[ch])[mask]
+    for i, (ch, sym) in enumerate(zip(CHANNELS, _SYMBOLS)):
+        e = log.column(f"e_{sym}")[mask]
         tracking_rmse[ch] = float(np.sqrt(np.mean(e * e)))
         ae = np.abs(e)
         peak = float(ae.max())
@@ -353,8 +351,7 @@ def compute_rmse(log: SimLog, window: Tuple[float, float]) -> Metrics:
             settle[ch] = None
         else:
             settle[ch] = float(tw[above[-1] + 1])
-        est_col, truth_col = _EST_COLS[ch]
-        r = log.column(est_col)[mask] - log.column(truth_col)[mask]
+        r = log.column(f"xhat{2 * i + 1}")[mask] - log.column(f"x{2 * i + 1}")[mask]
         estimation_rmse[ch] = float(np.sqrt(np.mean(r * r)))
     return Metrics(tracking_rmse, estimation_rmse, peaks, settle, (float(t0), float(t1)))
 
@@ -414,13 +411,14 @@ def write_trace(log: SimLog, path, decimation: int = 1):
 def read_trace(path) -> SimLog:
     """Read a write_trace CSV; a header-only trace reads as a (0, len(columns)) array.
 
-    A missing header or a body that is not one value per column per line raises SimulationError.
+    A file that is not UTF-8, a missing header, or a body that is not one value per column
+    per line raises SimulationError.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
             body = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SimulationError(f"cannot read trace from {path}: {exc}") from exc
     if not header:
         raise SimulationError(f"trace {path} has no header line")

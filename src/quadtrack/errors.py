@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator, and require_finite: the one runtime NaN check."""
+"""Exception types, the one range rule for configuration numbers and the one runtime NaN check."""
 
 import math
 
@@ -7,8 +7,17 @@ class SimulationError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ScenarioError(SimulationError):
+class ScenarioError(SimulationError, ValueError):
     """Scenario file or configuration is invalid."""
+
+
+def require_fields(obj, **in_range):
+    """ScenarioError("Class.field out of range: value") for the first field not ok or not finite."""
+    for name, ok in in_range.items():
+        value = getattr(obj, name)
+        # An int is finite at any size; math.isfinite would overflow beyond the float range.
+        if not (ok and (isinstance(value, int) or math.isfinite(value))):
+            raise ScenarioError(f"{type(obj).__name__}.{name} out of range: {value!r}")
 
 
 class NonFiniteError(SimulationError):

@@ -26,9 +26,11 @@ the schema.  Unknown fields are rejected in every section, disturbances and
 trajectory included.  Types are compared exactly: `true`/`false` are not
 numbers, and a number field accepts an integer (kept as given, so the digest
 does not change) as long as it fits in a float.  A noise disturbance carries
-its kind's fields beside its own.  A `Scenario` checks its ranges when it is
-constructed, so `dataclasses.replace` re-validates; the duration must be a
-whole number of steps of dt, and no more than sys.maxsize steps or noise draws.
+its kind's fields beside its own.  Each dataclass checks every number field
+against the range beside it, and that it is finite, by one rule when it is
+constructed (errors.require_fields), so `dataclasses.replace` re-validates.
+`Scenario` also checks across fields: the duration must be a whole number of
+steps of dt, and no more than sys.maxsize steps or noise draws.
 """
 
 import dataclasses
@@ -54,7 +56,7 @@ from .disturbances import (
     Step,
     UniformNoise,
 )
-from .errors import ScenarioError
+from .errors import ScenarioError, require_fields
 from .position import waypoint_trajectory
 from .vehicle import QuadrotorParams
 
@@ -67,28 +69,23 @@ ANGLE_LIMIT = math.pi / 2.0 - 0.05
 STEP_COUNT_RTOL = 1e-9
 
 
-def default_gains() -> Dict[str, ChannelGains]:
-    """Stock gain table: stiff attitude loops, slow position loops."""
-    return {
-        "roll": ChannelGains(p=100.0, k=120.0, lam=10.0, m2=1.0),
-        "pitch": ChannelGains(p=100.0, k=120.0, lam=10.0, m2=1.0),
-        "yaw": ChannelGains(p=1.0, k=10.0, lam=10.0, m2=1.0),
-        "x": ChannelGains(p=0.1, k=5.0, lam=5.0, m2=0.1),
-        "y": ChannelGains(p=0.1, k=5.0, lam=5.0, m2=0.1),
-        "z": ChannelGains(p=0.1, k=1.0, lam=5.0, m2=0.1),
-    }
-
-
-def default_disturbances() -> Dict[str, DisturbanceSpec]:
-    """Stock disturbance set: analytic shapes on position, held noise on attitude."""
-    return {
-        "roll": SampledNoise(GaussianNoise(sigma=0.1), hold=15.0),
-        "pitch": SampledNoise(UniformNoise(low=-0.1, high=0.1), hold=15.0),
-        "yaw": SampledNoise(BandLimitedNoise(power=1e-3, inner_dt=0.1), hold=1.0),
-        "x": Sinusoid(amplitude=1.0, omega=0.1),
-        "y": Step(value=1.0, onset=50.0),
-        "z": Ramp(offset=0.1, slope=0.01, end=100.0),
-    }
+# Stock tables, built and checked once; their values are frozen, so scenarios share them.
+_STOCK_GAINS = {  # stiff attitude loops, slow position loops
+    "roll": ChannelGains(p=100.0, k=120.0, lam=10.0, m2=1.0),
+    "pitch": ChannelGains(p=100.0, k=120.0, lam=10.0, m2=1.0),
+    "yaw": ChannelGains(p=1.0, k=10.0, lam=10.0, m2=1.0),
+    "x": ChannelGains(p=0.1, k=5.0, lam=5.0, m2=0.1),
+    "y": ChannelGains(p=0.1, k=5.0, lam=5.0, m2=0.1),
+    "z": ChannelGains(p=0.1, k=1.0, lam=5.0, m2=0.1),
+}
+_STOCK_DISTURBANCES = {  # analytic shapes on position, held noise on attitude
+    "roll": SampledNoise(GaussianNoise(sigma=0.1), hold=15.0),
+    "pitch": SampledNoise(UniformNoise(low=-0.1, high=0.1), hold=15.0),
+    "yaw": SampledNoise(BandLimitedNoise(power=1e-3, inner_dt=0.1), hold=1.0),
+    "x": Sinusoid(amplitude=1.0, omega=0.1),
+    "y": Step(value=1.0, onset=50.0),
+    "z": Ramp(offset=0.1, slope=0.01, end=100.0),
+}
 
 
 @dataclass(frozen=True)
@@ -100,32 +97,30 @@ class Toggles:
 @dataclass(frozen=True)
 class Scenario:
     params: QuadrotorParams = field(default_factory=QuadrotorParams)
-    gains: Dict[str, ChannelGains] = field(default_factory=default_gains)
+    gains: Dict[str, ChannelGains] = field(default_factory=_STOCK_GAINS.copy)
     trajectory: dict = field(default_factory=lambda: {"type": "helix"})
-    disturbances: Dict[str, DisturbanceSpec] = field(default_factory=default_disturbances)
-    psi_des: float = 0.0
+    disturbances: Dict[str, DisturbanceSpec] = field(default_factory=_STOCK_DISTURBANCES.copy)
+    psi_des: float = 0.0          # yaw setpoint [rad], finite
     initial_state: Tuple[float, ...] = (0.0,) * 12
-    dt: float = 1e-3
-    duration: float = 120.0
-    seed: int = 0
-    decimation: int = 10
+    dt: float = 1e-3              # step [s], in (0, 0.01]
+    duration: float = 120.0       # [s], > 0 and a whole number of steps of dt
+    seed: int = 0                 # master seed, >= 0
+    decimation: int = 10          # the trace file keeps every decimation-th row, >= 1
     toggles: Toggles = field(default_factory=Toggles)
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 0.01:
-            raise ScenarioError(f"dt must be in (0, 0.01], got {self.dt!r}")
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ScenarioError(f"duration must be finite and > 0, got {self.duration!r}")
+        require_fields(
+            self,
+            dt=0.0 < self.dt <= 0.01,
+            duration=self.duration > 0.0,
+            seed=self.seed >= 0,
+            decimation=self.decimation >= 1,
+            psi_des=True,
+        )
         steps = self.duration / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > STEP_COUNT_RTOL * steps:
             raise ScenarioError(
                 f"duration {self.duration} is not a whole number of steps of dt {self.dt}")
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed!r}")
-        if self.decimation < 1:
-            raise ScenarioError(f"decimation must be >= 1, got {self.decimation!r}")
-        if not math.isfinite(self.psi_des):
-            raise ScenarioError(f"psi_des must be finite, got {self.psi_des!r}")
         if set(self.gains) != set(CHANNELS):
             raise ScenarioError(f"gains must cover exactly {CHANNELS}")
         if set(self.disturbances) != set(CHANNELS):
@@ -274,10 +269,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a validated Scenario, filling every omitted field with defaults."""
     raw = _checked(raw, _SECTIONS, "scenario")
-    gains = default_gains()
+    gains = _STOCK_GAINS.copy()
     for ch, overrides in _checked(raw.get("gains", {}), _CHANNEL_SECTION, "gains").items():
         gains[ch] = _build(ChannelGains, overrides, f"gains.{ch}", gains[ch])
-    disturbances = default_disturbances()
+    disturbances = _STOCK_DISTURBANCES.copy()
     for ch, spec in _checked(raw.get("disturbances", {}), _CHANNEL_SECTION,
                              "disturbances").items():
         disturbances[ch] = disturbance_from_dict(spec, f"disturbances.{ch}")
@@ -301,10 +296,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(raw)
 

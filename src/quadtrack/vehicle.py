@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import require_finite
+from .errors import require_fields, require_finite
 
 
 class ControlInputs(NamedTuple):
@@ -58,7 +58,7 @@ class MixResult(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadrotorParams:
-    """Physical constants of the airframe (defaults: 0.65 kg cross frame)."""
+    """Physical constants of the airframe (defaults: 0.65 kg cross frame), each finite and > 0."""
 
     g: float = 9.81          # gravity [m/s^2]
     m: float = 0.650         # mass [kg]
@@ -74,12 +74,10 @@ class QuadrotorParams:
     fixed_residual_speed: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("g", "m", "l", "b", "d", "Ir", "Ix", "Iy", "Iz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"QuadrotorParams.{name} must be finite and > 0, got {value}")
-        if self.fixed_residual_speed is not None and not math.isfinite(self.fixed_residual_speed):
-            raise ValueError("fixed_residual_speed must be finite")
+        constants = ("g", "m", "l", "b", "d", "Ir", "Ix", "Iy", "Iz")
+        require_fields(self, **{name: getattr(self, name) > 0.0 for name in constants})
+        if self.fixed_residual_speed is not None:
+            require_fields(self, fixed_residual_speed=True)
 
     @cached_property
     def _axis_rows(self):
@@ -197,8 +195,6 @@ def mix_inputs_to_rotor_speeds(params: QuadrotorParams, u: ControlInputs) -> Mix
     return MixResult(speeds, clamped)
 
 
-def residual_speed(params: QuadrotorParams, w: RotorSpeeds) -> float:
-    """Residual propeller speed: alternating-sign sum, or the pinned constant."""
-    if params.fixed_residual_speed is not None:
-        return params.fixed_residual_speed
+def residual_speed(w: RotorSpeeds) -> float:
+    """Residual propeller speed: the alternating-sign sum of the rotor speeds."""
     return -w.w1 + w.w2 - w.w3 + w.w4

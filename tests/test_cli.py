@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import quadtrack
 from quadtrack import cli, read_trace
 from quadtrack.cli import main
 
@@ -226,3 +230,32 @@ class TestStrictJson:
         runs = strict_json(out / "sweep.json")["runs"]
         assert [run["completed"] for run in runs] == [False, False]
         assert all(set(run["tracking_rmse"].values()) == {None} for run in runs)
+
+
+def _module(*args, cwd):
+    """`python -m quadtrack args` in a child process that imports this checkout's package."""
+    src = pathlib.Path(quadtrack.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "quadtrack", *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestEntryPoint:
+    def test_run_exits_0_and_writes_outputs(self, tmp_path):
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"sim": {"duration": 0.01}}))
+        proc = _module("run", "--scenario", cfg, "--out", tmp_path / "out", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "trace.csv").is_file()
+        assert (tmp_path / "out" / "summary.json").is_file()
+
+    @pytest.mark.parametrize("command", [("run",), ("sweep", "--vary", "sim.seed=1,2")],
+                             ids=["run", "sweep"])
+    def test_undecodable_scenario_exits_2_without_traceback(self, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        proc = _module(*command, "--scenario", bad, "--out", tmp_path / "o", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"scenario error: scenario file {bad} is not valid JSON")

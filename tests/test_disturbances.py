@@ -128,6 +128,13 @@ class TestSpecValidation:
             lambda: Ramp(0.1, 0.01, -5.0),
             lambda: Step(1.0, -1.0),
             lambda: Sinusoid(math.nan, 1.0),
+            lambda: Sinusoid(1.0, math.inf),
+            lambda: Step(math.nan, 1.0),
+            lambda: Ramp(0.1, -math.inf, 1.0),
+            lambda: GaussianNoise(math.inf),
+            lambda: UniformNoise(-math.inf, 0.1),
+            lambda: BandLimitedNoise(1e-3, math.nan),
+            lambda: SampledNoise(GaussianNoise(0.1), hold=math.inf),
         ],
     )
     def test_rejects_invalid(self, ctor):

@@ -221,7 +221,8 @@ class TestObserverRows:
             a = (loop.initial_state() + rng.normal(0.0, 0.1, STATE_DIM)).tolist()
             deriv, row = loop.signals(rng.uniform(0.0, sc.duration), a)
             up, *torques = (row[col[name]] for name in ("Up", "Uphi", "Utheta", "Upsi"))
-            omega_r = residual_speed(params, RotorSpeeds(*(row[col[f"w{k}"]] for k in range(1, 5))))
+            speeds = RotorSpeeds(*(row[col[f"w{k}"]] for k in range(1, 5)))
+            omega_r = residual_speed(speeds) if pinned is None else pinned
             xhat1, xhat2 = a[PLANT_DIM + 3::RIG_SIZE], a[PLANT_DIM + 4::RIG_SIZE]
             fb1, fb2 = (a[0:PLANT_DIM:2], a[1:PLANT_DIM:2]) if oracle else (xhat1, xhat2)
             nominal = self.model(params, xhat1, xhat2, omega_r, up)
@@ -343,8 +344,8 @@ class TestResidualSpeedPasses:
             calls.append((args, value))
             return value
 
-        def recording_speed(params, w):
-            omega = speed(params, w)
+        def recording_speed(w):
+            omega = speed(w)
             if len(calls) == 6:  # both passes done; args[7] is the residual speed
                 for args, value in calls[3:]:
                     again = torque(*args[:7], omega, *args[8:])
@@ -443,6 +444,12 @@ class TestTraceIo:
         path = tmp_path / "trace.csv"
         path.write_bytes(b"")
         with pytest.raises(SimulationError, match="no header line"):
+            read_trace(path)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SimulationError, match="cannot read trace"):
             read_trace(path)
 
     def test_special_values_round_trip(self, tmp_path):

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+import math
+import typing
 
 import numpy as np
 import pytest
@@ -8,12 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtrack import (
+    CHANNELS,
+    BandLimitedNoise,
+    ChannelGains,
+    GaussianNoise,
+    QuadrotorParams,
     Ramp,
     SampledNoise,
     Scenario,
     ScenarioError,
     Sinusoid,
     Step,
+    UniformNoise,
     load_scenario,
     make_generator,
     run_scenario,
@@ -43,6 +51,13 @@ class TestDefaults:
     def test_empty_object_resolves_to_defaults(self):
         assert scenario_from_dict({}) == Scenario()
 
+    def test_loads_share_the_stock_tables(self):
+        a, b = scenario_from_dict({}), scenario_from_dict({})
+        assert a.gains is not b.gains and a.disturbances is not b.disturbances
+        for ch in CHANNELS:
+            assert a.gains[ch] is b.gains[ch] is Scenario().gains[ch]
+            assert a.disturbances[ch] is b.disturbances[ch] is Scenario().disturbances[ch]
+
     def test_round_trip_through_dict(self):
         sc = Scenario()
         assert scenario_from_dict(scenario_to_dict(sc)) == sc
@@ -69,6 +84,9 @@ class TestPartialOverrides:
     def test_sim_fields(self):
         sc = scenario_from_dict({"sim": {"dt": 0.002, "seed": 5}})
         assert sc.dt == 0.002 and sc.seed == 5 and sc.duration == 120.0
+
+    def test_seed_beyond_the_float_range_loads(self):
+        assert scenario_from_dict({"sim": {"seed": _HUGE}}).seed == _HUGE
 
     def test_disturbance_override_replaces_whole_spec(self):
         sc = scenario_from_dict({"disturbances": {"x": {"type": "none"}}})
@@ -125,6 +143,15 @@ class TestValidationErrors:
             {"params": {"Im": 1e-5}},
             {"toggles": {"dz_hold_after_end": True}},
             {"sim": {"duration": 0.0105}},
+            # not finite
+            {"sim": {"dt": math.nan}},
+            {"sim": {"duration": math.inf}},
+            {"psi_des": math.nan},
+            {"params": {"Ix": math.inf}},
+            {"params": {"fixed_residual_speed": math.nan}},
+            {"gains": {"z": {"beta2": math.inf}}},
+            {"disturbances": {"x": {"type": "sinusoid", "amplitude": 1.0, "omega": math.nan}}},
+            {"disturbances": {"roll": {**_GAUSSIAN, "hold": math.inf}}},
             # wrong exact types: booleans are not numbers, strings not booleans
             {"toggles": {"position_do": "no"}},
             {"sim": {"seed": True}},
@@ -178,6 +205,61 @@ class TestValidationErrors:
             dataclasses.replace(Scenario(), **change)
 
 
+# A valid instance of each configuration dataclass with number fields and, per
+# range-checked field, a finite value outside its range (None: any finite value is in range).
+_RANGES = [
+    (ChannelGains(p=1.0, k=1.0, lam=1.0),
+     {"p": 0.0, "k": -1.0, "lam": 0.5, "tau": 1.5, "m1": 0.0, "m2": -0.1, "beta1": 0.0,
+      "beta2": 0.0, "eps": 1e-200}),
+    (QuadrotorParams(fixed_residual_speed=0.0),
+     {"g": 0.0, "m": -0.1, "l": 0.0, "b": 0.0, "d": 0.0, "Ir": 0.0, "Ix": 0.0, "Iy": 0.0,
+      "Iz": 0.0, "fixed_residual_speed": None}),
+    (Sinusoid(1.0, 0.1), {"amplitude": None, "omega": None, "phase": None}),
+    (Step(1.0, 1.0), {"value": None, "onset": -1.0}),
+    (Ramp(0.1, 0.01, 1.0), {"offset": None, "slope": None, "end": -1.0}),
+    (GaussianNoise(0.1), {"sigma": -0.1}),
+    (UniformNoise(-0.1, 0.1), {"low": None, "high": -0.2}),  # high < low is reported on high
+    (BandLimitedNoise(1e-3, 0.1), {"power": -1e-3, "inner_dt": 0.0}),
+    (SampledNoise(GaussianNoise(0.1), hold=1.0), {"hold": 0.0}),
+    (Scenario(duration=1.0),
+     {"dt": 0.02, "duration": 0.0, "seed": -1, "decimation": 0, "psi_des": None}),
+]
+# Number fields checked by hand instead: a type check and a check across entries.
+_HAND_CHECKED = {(SampledNoise, "seed"), (Scenario, "initial_state")}
+_FIELD_CASES = [(base, name, bad) for base, fields in _RANGES for name, bad in fields.items()]
+
+
+class TestRangeRule:
+    """Every range-checked number field goes through errors.require_fields."""
+
+    def test_table_lists_every_number_field(self):
+        for base, fields in _RANGES:
+            cls = type(base)
+            numbers = {name for name, hint in typing.get_type_hints(cls).items()
+                       if {int, float} & set(typing.get_args(hint) or (hint,))}
+            assert numbers - {name for c, name in _HAND_CHECKED if c is cls} == set(fields)
+
+    @pytest.mark.parametrize("base, name, bad", _FIELD_CASES,
+                             ids=[f"{type(b).__name__}.{n}" for b, n, _ in _FIELD_CASES])
+    def test_non_finite_or_out_of_range_names_the_field(self, base, name, bad):
+        for value in (math.nan, math.inf) + (() if bad is None else (bad,)):
+            with pytest.raises(ScenarioError) as exc:
+                dataclasses.replace(base, **{name: value})
+            assert isinstance(exc.value, ValueError)
+            assert str(exc.value) == f"{type(base).__name__}.{name} out of range: {value!r}"
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"gains": {"roll": {"p": -1}}}, "bad gains.roll: ChannelGains.p out of range: -1"),
+        ({"disturbances": {"y": {"type": "step", "value": 1.0, "onset": -1}}},
+         "bad disturbances.y: Step.onset out of range: -1"),
+        ({"sim": {"dt": 0.5}}, "Scenario.dt out of range: 0.5"),
+    ], ids=["gains", "disturbances", "sim"])
+    def test_load_names_the_section_and_the_field(self, raw, message):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert str(exc.value) == message
+
+
 class TestScenarioOwnsItsTrajectory:
     def test_editing_the_input_or_the_output_dict_changes_neither_digest_nor_run(self):
         raw = {"trajectory": {"type": "waypoints", "points": [[0, 0, 0, 1], [1, 1, 0, 1]]},
@@ -207,6 +289,12 @@ class TestFileLoading:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(ScenarioError):
+            load_scenario(path)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ScenarioError, match="not valid JSON"):
             load_scenario(path)
 
 

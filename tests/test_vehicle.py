@@ -222,16 +222,10 @@ class TestMixing:
 
 class TestResidualSpeed:
     def test_equal_speeds_cancel(self):
-        assert residual_speed(PARAMS, RotorSpeeds(400.0, 400.0, 400.0, 400.0)) == 0.0
+        assert residual_speed(RotorSpeeds(400.0, 400.0, 400.0, 400.0)) == 0.0
 
     def test_alternating_sign_convention(self):
-        assert residual_speed(PARAMS, RotorSpeeds(100.0, 110.0, 100.0, 110.0)) == pytest.approx(20.0)
-
-    def test_fixed_mode(self):
-        p = QuadrotorParams(fixed_residual_speed=0.0)
-        assert residual_speed(p, RotorSpeeds(1.0, 2.0, 3.0, 4.0)) == 0.0
-        p = QuadrotorParams(fixed_residual_speed=12.5)
-        assert residual_speed(p, RotorSpeeds(9.0, 9.0, 9.0, 9.0)) == 12.5
+        assert residual_speed(RotorSpeeds(100.0, 110.0, 100.0, 110.0)) == pytest.approx(20.0)
 
 
 def virtual_from_angles(phi, theta, psi):

@@ -100,6 +100,7 @@ COLUMNS = (
 )
 
 TRACE_SCHEMA_VERSION = 5
+_TRACE_BLOCK_ROWS = 64  # rows per % operation in write_trace: about 50 kB of text
 
 
 class ClosedLoop:
@@ -330,7 +331,10 @@ SETTLE_FRACTION = 0.1
 
 
 def compute_rmse(log: SimLog, window: Tuple[float, float]) -> Metrics:
-    """Per-channel RMSE, peak, and settle time over [t0, t1]."""
+    """Per-channel RMSE, peak, and settle time over [t0, t1].
+
+    A settle time is None when the channel never settles, or when its peak is nan or inf.
+    """
     t0, t1 = window
     t = log.data[:, 0]
     mask = (t >= t0) & (t <= t1)
@@ -345,9 +349,9 @@ def compute_rmse(log: SimLog, window: Tuple[float, float]) -> Metrics:
         peak = float(ae.max())
         peaks[ch] = peak
         above = np.nonzero(ae > SETTLE_FRACTION * peak)[0]
-        if len(above) == 0:
+        if len(above) == 0 and np.isfinite(peak):
             settle[ch] = float(tw[0])
-        elif above[-1] == len(ae) - 1:
+        elif len(above) == 0 or above[-1] == len(ae) - 1:
             settle[ch] = None
         else:
             settle[ch] = float(tw[above[-1] + 1])
@@ -397,13 +401,20 @@ def run_scenario(sc: Scenario) -> RunResult:
 
 
 def write_trace(log: SimLog, path, decimation: int = 1):
-    """CSV trace: a line of column names, then every decimation-th row as comma-separated %.9g."""
+    """CSV trace: a line of column names, then every decimation-th row as comma-separated %.9g.
+
+    One % operation formats each block of rows; the bytes are np.savetxt's with fmt="%.9g".
+    """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
+    rows = log.data[::decimation]
+    line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
     try:
         with open(path, "w", newline="") as fh:
-            np.savetxt(fh, log.data[::decimation], fmt="%.9g", delimiter=",",
-                       header=",".join(log.columns), comments="")
+            fh.write(",".join(log.columns) + "\n")
+            for start in range(0, len(rows), _TRACE_BLOCK_ROWS):
+                block = rows[start:start + _TRACE_BLOCK_ROWS]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise SimulationError(f"cannot write trace to {path}: {exc}") from exc
 

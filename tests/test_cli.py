@@ -232,13 +232,18 @@ class TestStrictJson:
         assert all(set(run["tracking_rmse"].values()) == {None} for run in runs)
 
 
-def _module(*args, cwd):
-    """`python -m quadtrack args` in a child process that imports this checkout's package."""
+def _python(*args, cwd):
+    """`python args` in a child process that imports this checkout's package."""
     src = pathlib.Path(quadtrack.__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "quadtrack", *map(str, args)], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def _module(*args, cwd):
+    """`python -m quadtrack args` in a child process."""
+    return _python("-m", "quadtrack", *args, cwd=cwd)
 
 
 class TestEntryPoint:
@@ -259,3 +264,10 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"scenario error: scenario file {bad} is not valid JSON")
+
+    def test_importing_the_cli_leaves_the_process_pool_unloaded(self, tmp_path):
+        # Only sweep --jobs N > 1 uses the pool; importing it costs every process about 2 MB.
+        proc = _python("-c", "import sys, quadtrack.cli; print('concurrent.futures' in sys.modules)",
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -414,6 +414,15 @@ class TestComputeRmse:
         m = compute_rmse(log, (0.0, 5.9))
         assert m.settle_time["x"] is None
 
+    def test_non_finite_error_never_settles(self):
+        e = np.array([1.0, 0.5, math.nan, 0.2, 0.01])
+        log = synthetic_log(e_x=e, e_y=np.where(np.isnan(e), math.inf, e))
+        m = compute_rmse(log, (0.0, 0.4))
+        assert math.isnan(m.tracking_rmse["x"]) and math.isnan(m.peak_abs_error["x"])
+        assert m.tracking_rmse["y"] == m.peak_abs_error["y"] == math.inf
+        assert m.settle_time["x"] is None and m.settle_time["y"] is None
+        assert m.settle_time["z"] == 0.0
+
     def test_empty_window_rejected(self):
         log = synthetic_log(e_x=np.zeros(10))
         with pytest.raises(ValueError):
@@ -463,6 +472,29 @@ class TestTraceIo:
         want = np.array([[float(f"{v:.9g}") for v in row] for row in data])
         assert np.array_equal(back, want, equal_nan=True)
         assert math.copysign(1.0, back[0, 3]) == -1.0
+
+    # Row counts around the writer's block size, each written at three decimations (the
+    # last beyond the row count) from C-ordered, Fortran-ordered and column-sliced data.
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    @pytest.mark.parametrize("decimation", [1, 7, "beyond"])
+    @pytest.mark.parametrize("n", [0, 1, engine._TRACE_BLOCK_ROWS - 1, engine._TRACE_BLOCK_ROWS,
+                                   engine._TRACE_BLOCK_ROWS + 1, 3 * engine._TRACE_BLOCK_ROWS + 5])
+    def test_bytes_equal_the_savetxt_oracle(self, tmp_path, n, decimation, layout):
+        rng = np.random.default_rng(n)
+        wide = 10.0 ** rng.uniform(-320, 308, (n, 2 * len(COLUMNS)))
+        wide *= rng.choice([-1.0, 1.0], wide.shape)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 1 / 3]
+        for i, v in enumerate(specials):
+            wide[i::len(specials), i::len(specials)] = v
+        data = {"C": np.ascontiguousarray(wide[:, :len(COLUMNS)]),
+                "F": np.asfortranarray(wide[:, :len(COLUMNS)]), "sliced": wide[:, ::2]}[layout]
+        d = n + 1 if decimation == "beyond" else decimation
+        path, oracle = tmp_path / "trace.csv", tmp_path / "oracle.csv"
+        write_trace(SimLog(columns=COLUMNS, data=data), path, decimation=d)
+        with open(oracle, "w", newline="") as fh:
+            np.savetxt(fh, data[::d], fmt="%.9g", delimiter=",", header=",".join(COLUMNS),
+                       comments="")
+        assert path.read_bytes() == oracle.read_bytes()
 
     def test_write_read_write_is_stable(self, tmp_path):
         sc = dataclasses.replace(Scenario(), duration=0.1)

@@ -6,7 +6,17 @@ nonlinear disturbance observer and a high-gain observer per channel, a
 trace output.
 """
 
-from .attitude import ChannelGains, attitude_torque, channel_errors
+from .attitude import attitude_torque
+from .channel import (
+    ChannelGains,
+    channel_errors,
+    command_filter_derivative,
+    do_derivative,
+    do_estimate,
+    first_order_filter_derivative,
+    hgo_derivative,
+    position_virtual_control,
+)
 from .disturbances import (
     BandLimitedNoise,
     GaussianNoise,
@@ -38,21 +48,15 @@ from .errors import (
     ScenarioError,
     SimulationError,
 )
-from .filters import command_filter_derivative, first_order_filter_derivative
-from .observers import do_derivative, do_estimate, hgo_derivative
-from .position import (
-    extract_thrust_and_attitude,
-    position_virtual_control,
-    reference_trajectory,
-    waypoint_trajectory,
-)
 from .scenario import (
     CHANNELS,
     Scenario,
     load_scenario,
+    reference_trajectory,
     scenario_digest,
     scenario_from_dict,
     scenario_to_dict,
+    waypoint_trajectory,
 )
 from .vehicle import (
     ControlInputs,
@@ -61,6 +65,7 @@ from .vehicle import (
     acceleration_from_attitude,
     attitude_coupling,
     attitude_input_gain,
+    extract_thrust_and_attitude,
     mix_inputs_to_rotor_speeds,
     residual_speed,
     state_derivative,

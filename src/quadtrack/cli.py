@@ -137,9 +137,11 @@ def _sweep_command(args) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    if args.jobs > 1:
+    # The pool forks all its workers up front, so it gets no more than one per member.
+    workers = min(args.jobs, len(scenarios))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 2 MB of RSS that --jobs 1 never needs
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_execute, scenarios, out_dirs))
     else:
         summaries = list(map(_execute, scenarios, out_dirs))

@@ -81,12 +81,12 @@ NoiseKind = Union[GaussianNoise, UniformNoise, BandLimitedNoise]
 class SampledNoise:
     kind: NoiseKind
     hold: float                 # sample-and-hold interval [s]
-    seed: Optional[int] = None  # None: derived from the scenario master seed
+    seed: Optional[int] = None  # None: derived from the scenario master seed; else int >= 0
 
     def __post_init__(self):
         require_fields(self, hold=self.hold > 0.0)
-        if self.seed is not None and not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ValueError("noise seed must be a nonnegative integer")
+        if self.seed is not None:
+            require_fields(self, seed=type(self.seed) is int and self.seed >= 0)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,11 @@ class SampledNoiseGenerator:
     def __init__(self, spec: SampledNoise, seed, horizon: float):
         self.hold = spec.hold
         self._count = int(math.floor(horizon / spec.hold)) + 2
-        self._values = noise_boundary_values(spec.kind, seed, self._count, spec.hold).tolist()
+        try:
+            values = noise_boundary_values(spec.kind, seed, self._count, spec.hold)
+        except ValueError as exc:  # the spec is valid, so numpy refused the size
+            raise MemoryError(str(exc)) from exc
+        self._values = values.tolist()
 
     def value(self, t: float) -> float:
         idx = int(t / self.hold)

@@ -1,13 +1,11 @@
 """Closed-loop assembly, fixed-step integration, metrics, and trace output.
 
-All six channels (roll, pitch, yaw, x, y, z) run one law on one rig of
-[z1, z2, sigma, xhat1, xhat2, gamma].  Channel i is measured at plant
-index 2*i and its rate at 2*i + 1.  One derivative evaluation walks the
-cascade in this order:
+All six channels (roll, pitch, yaw, x, y, z) run the law of channel.py, one
+rig each.  Channel i is measured at plant index 2*i and its rate at 2*i + 1.
+One derivative evaluation walks the cascade in this order:
 
     1. reference trajectory at t
-    2. front half of the x, y, z rigs: command filter, errors, lag and
-       disturbance estimate
+    2. front half of the x, y, z rigs (command filter to disturbance estimate)
     3. virtual accelerations (minus the disturbance estimates)
     4. thrust magnitude + desired roll/pitch extraction
     5. front half of the roll, pitch, yaw rigs on (phi_des, theta_des, psi_des)
@@ -51,7 +49,16 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .attitude import attitude_torque, channel_errors
+from .attitude import attitude_torque
+from .channel import (
+    channel_errors,
+    command_filter_derivative,
+    do_derivative,
+    do_estimate,
+    first_order_filter_derivative,
+    hgo_derivative,
+    position_virtual_control,
+)
 from .disturbances import make_generator
 from .errors import (
     AngleGuardError,
@@ -60,20 +67,21 @@ from .errors import (
     SimulationError,
     require_finite,
 )
-from .filters import command_filter_derivative, first_order_filter_derivative
-from .observers import do_derivative, do_estimate, hgo_derivative
-from .position import (
-    extract_thrust_and_attitude,
-    position_virtual_control,
+from .scenario import (
+    CHANNELS,
+    Scenario,
     reference_trajectory,
+    scenario_digest,
+    scenario_to_dict,
     waypoint_trajectory,
 )
-from .scenario import ANGLE_LIMIT, CHANNELS, Scenario, scenario_digest, scenario_to_dict
 from .vehicle import (
+    ANGLE_LIMIT,
     ControlInputs,
     acceleration_from_attitude,
     attitude_coupling,
     attitude_input_gain,
+    extract_thrust_and_attitude,
     mix_inputs_to_rotor_speeds,
     residual_speed,
     state_derivative,
@@ -372,7 +380,10 @@ def run_scenario(sc: Scenario) -> RunResult:
     loop = ClosedLoop(sc)
     dt = sc.dt
     n = int(round(sc.duration / dt))
-    data = np.empty((n + 1, len(COLUMNS)))
+    try:
+        data = np.empty((n + 1, len(COLUMNS)))
+    except ValueError as exc:  # a size numpy cannot address: out of memory, as for one it can
+        raise MemoryError(str(exc)) from exc
     a = loop.initial_state()
     abort = None
     rows = 0

@@ -2,7 +2,8 @@
 
 A scenario file is JSON with the sections below; every omitted field falls
 back to the stock mission (default airframe, gain table, helix trajectory,
-and the six default disturbances):
+and the six default disturbances), which lives here with the reference
+trajectories (reference_trajectory, waypoint_trajectory):
 
     {
       "params":       {"m": 0.65, "Ix": 7.5e-3, ...},
@@ -40,11 +41,14 @@ import json
 import math
 import sys
 import typing
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
-from .attitude import ChannelGains
+import numpy as np
+
+from .channel import ChannelGains
 from .disturbances import (
     BandLimitedNoise,
     DisturbanceSpec,
@@ -57,13 +61,9 @@ from .disturbances import (
     UniformNoise,
 )
 from .errors import ScenarioError, require_fields
-from .position import waypoint_trajectory
-from .vehicle import QuadrotorParams
+from .vehicle import ANGLE_LIMIT, QuadrotorParams
 
 CHANNELS = ("roll", "pitch", "yaw", "x", "y", "z")
-
-# Roll and pitch must stay 0.05 rad inside +-pi/2 (the model's validity range) or the run aborts.
-ANGLE_LIMIT = math.pi / 2.0 - 0.05
 
 # duration/dt may sit this far (relative) from a whole number of steps.
 STEP_COUNT_RTOL = 1e-9
@@ -86,6 +86,57 @@ _STOCK_DISTURBANCES = {  # analytic shapes on position, held noise on attitude
     "y": Step(value=1.0, onset=50.0),
     "z": Ramp(offset=0.1, slope=0.01, end=100.0),
 }
+
+
+def reference_trajectory(t: float):
+    """Built-in mission: a 3 m radius circle at 1/15 rad/s with a 0.1 m/s climb."""
+    return (
+        3.0 - 3.0 * math.cos(t / 15.0),
+        2.0 + 3.0 * math.sin(t / 15.0),
+        1.0 + 0.1 * t,
+    )
+
+
+def waypoint_trajectory(points: Sequence[Sequence[float]]):
+    """Piecewise-linear trajectory through (t, x, y, z) rows.
+
+    Times must be strictly increasing; the position is held constant before
+    the first and after the last waypoint.  Each call makes one bisection
+    for all three axes into a table of per-segment slopes and returns what
+    np.interp returns on each axis, bit for bit: the waypoint itself at a
+    waypoint time and slope * (t - t0) + p0 inside a segment.  A table where
+    a segment's time span or per-axis difference overflows is rejected, so
+    that value is never NaN and np.interp's NaN retry never applies.
+    """
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] < 1:
+        raise ValueError("waypoints must be a non-empty sequence of (t, x, y, z) rows")
+    if not np.isfinite(arr).all():
+        raise ValueError("waypoints must be finite")
+    rows = arr.tolist()
+    # Per segment j: row[j+1] - row[j], the time span then the three axis differences.
+    steps = [[b - a for a, b in zip(r0, r1)] for r0, r1 in zip(rows, rows[1:])]
+    if any(step[0] <= 0.0 for step in steps):
+        raise ValueError("waypoint times must be strictly increasing")
+    if not all(math.isfinite(v) for step in steps for v in step):
+        raise ValueError("waypoint segment spans and differences must be finite")
+    times = [row[0] for row in rows]
+    pts = [tuple(row[1:]) for row in rows]
+    # Per segment and axis: difference / span, as np.interp computes the slope.
+    slopes = [tuple(d / span for d in diffs) for span, *diffs in steps]
+    last = len(times) - 1
+
+    def trajectory(t: float):
+        j = bisect_right(times, t) - 1
+        if j < 0:
+            return pts[0]
+        if j == last or t == times[j]:
+            return pts[j]
+        (x0, y0, z0), (sx, sy, sz) = pts[j], slopes[j]
+        h = t - times[j]
+        return sx * h + x0, sy * h + y0, sz * h + z0
+
+    return trajectory
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ State convention (12 entries, in this order):
     10 z position (up)     [m]        11 z velocity   [m/s]
 
 Roll and pitch are only valid on (-pi/2, pi/2); the simulation loop aborts
-well before the boundary.  The airframe model is stated once, here: each plant
-acceleration row is a model function plus the disturbance, and the torque law
-and both observers use the same functions.  The rotational rows read one row
-per axis, built once per QuadrotorParams, at the (roll, pitch, yaw) rate triple.
+well before the boundary, at ANGLE_LIMIT.  The airframe model is stated once,
+here, with its two inverses, the mixer and the extraction: each acceleration
+row is a model function plus the disturbance, and the torque law and both
+observers use the same functions.  The rotational rows read one row per axis,
+built once per QuadrotorParams, at the (roll, pitch, yaw) rate triple.
 
 Inputs are the total thrust U_p [N], force-like roll/pitch inputs U_phi and
 U_theta (they enter the angular accelerations scaled by arm_length/inertia),
@@ -34,7 +35,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import require_fields, require_finite
+from .errors import DenominatorTooSmallError, require_fields, require_finite
+
+# Roll and pitch must stay 0.05 rad inside +-pi/2 (the model's validity range) or the run aborts.
+ANGLE_LIMIT = math.pi / 2.0 - 0.05
+
+# Below this U_z + g value [m/s^2] the attitude extraction is rejected.
+MIN_EXTRACTION_DENOMINATOR = 0.1
 
 
 class ControlInputs(NamedTuple):
@@ -109,7 +116,7 @@ def acceleration_from_attitude(
 ):
     """Translational acceleration (ax, ay, az) produced by attitude + thrust.
 
-    The forward model that extract_thrust_and_attitude (position) inverts.
+    The forward model that extract_thrust_and_attitude inverts.
     The round trip returns each virtual acceleration within 4 eps acc**2/(uz + g),
     acc = up/m and eps the float64 epsilon: to rounding, not exactly.
     """
@@ -120,6 +127,31 @@ def acceleration_from_attitude(
     return ((cphi * stheta * cpsi + sphi * spsi) * acc,
             (cphi * stheta * spsi - sphi * cpsi) * acc,
             cphi * math.cos(theta) * acc - params.g)
+
+
+def extract_thrust_and_attitude(
+    params: QuadrotorParams,
+    ux: float,
+    uy: float,
+    uz: float,
+    psi_des: float,
+):
+    """(phi_des, theta_des, psi_des, up) realizing the virtual accelerations.
+
+    Pitch comes first, then roll using the pitch result, then thrust using
+    both; the atan range keeps the angles inside (-pi/2, pi/2).  Raises
+    DenominatorTooSmallError near the free-fall singularity.
+    """
+    require_finite((ux, uy, uz), "virtual control")
+    require_finite((psi_des,), "yaw setpoint")
+    den = uz + params.g
+    if den < MIN_EXTRACTION_DENOMINATOR:
+        raise DenominatorTooSmallError(den, MIN_EXTRACTION_DENOMINATOR)
+    spsi, cpsi = math.sin(psi_des), math.cos(psi_des)
+    theta_des = math.atan((ux * cpsi + uy * spsi) / den)
+    phi_des = math.atan((ux * spsi - uy * cpsi) * math.cos(theta_des) / den)
+    up = params.m * den / (math.cos(phi_des) * math.cos(theta_des))
+    return phi_des, theta_des, psi_des, up
 
 
 def state_derivative(

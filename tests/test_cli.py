@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import pathlib
@@ -16,6 +17,15 @@ def short_scenario(tmp_path):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"sim": {"duration": 0.2, "decimation": 10}}))
     return path
+
+
+# Loads, but a 1e14 s run needs a log of 1e17 rows: more bytes than numpy can address.
+UNADDRESSABLE_LOG = {"disturbances": dict.fromkeys(("roll", "pitch", "yaw", "x", "y", "z"),
+                                                   {"type": "none"}),
+                     "sim": {"duration": 1e14}}
+# Loads, but 120 s held for 1e-16 s is 1.2e18 draws: more bytes than numpy can address.
+UNADDRESSABLE_NOISE = {"disturbances": {"roll": {"type": "noise", "kind": "gaussian",
+                                                 "sigma": 0.1, "hold": 1e-16}}}
 
 
 class TestRun:
@@ -67,6 +77,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "out of memory: MemoryError: Unable to allocate 52.4 TiB\n"
 
+    @pytest.mark.parametrize("raw", [UNADDRESSABLE_LOG, UNADDRESSABLE_NOISE],
+                             ids=["log", "noise"])
+    def test_unaddressable_size_exits_3_without_traceback(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: MemoryError: ") and err.count("\n") == 1
+
     def test_guard_abort_exits_3_with_partial_outputs(self, tmp_path):
         cfg = tmp_path / "abort.json"
         cfg.write_text(json.dumps({
@@ -101,6 +120,35 @@ class TestSweep:
         assert code == 0
         index = json.loads((out / "sweep.json").read_text())
         assert len(index["runs"]) == 2
+
+    @pytest.mark.parametrize("jobs, vary, pool_size", [("8", "sim.seed=1,2", 2),
+                                                       ("4", "sim.seed=1", None)])
+    def test_sweep_pool_has_at_most_one_worker_per_member(self, tmp_path, short_scenario,
+                                                          monkeypatch, jobs, vary, pool_size):
+        # The pool starts all max_workers processes at its first submit, so --jobs is capped
+        # at the member count, and a single member runs in process.  The fake starts none.
+        built = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(short_scenario), "--vary", vary,
+                     "--out", str(out), "--jobs", jobs]) == 0
+        assert built == ([] if pool_size is None else [pool_size])
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert all(run["completed"] for run in runs)
 
     @pytest.mark.parametrize("vary", ["sim.seed=1,1", "psi_des=1e0,1.0"])
     def test_sweep_values_sharing_a_directory_exit_2(self, tmp_path, short_scenario, capsys,
@@ -150,6 +198,17 @@ class TestSweep:
         assert failed["error"].startswith("out of memory: MemoryError")
         assert done["completed"] is True and done["value"] == 2
         assert (pathlib.Path(done["out"]) / "summary.json").exists()
+
+    def test_sweep_member_of_unaddressable_size_fails_alone(self, tmp_path):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(UNADDRESSABLE_LOG))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(cfg), "--vary", "sim.duration=0.01,1e14",
+                     "--out", str(out)]) == 3
+        done, failed = json.loads((out / "sweep.json").read_text())["runs"]
+        assert done["completed"] is True and done["value"] == 0.01
+        assert failed["completed"] is False
+        assert failed["error"].startswith("out of memory: MemoryError")
 
     def test_sweep_output_root_blocked_exits_3(self, tmp_path, short_scenario, capsys):
         blocked = tmp_path / "blocked"

@@ -16,7 +16,7 @@ from quadtrack import (
     mix_inputs_to_rotor_speeds,
     state_derivative,
 )
-from quadtrack.position import MIN_EXTRACTION_DENOMINATOR
+from quadtrack.vehicle import MIN_EXTRACTION_DENOMINATOR
 
 PARAMS = QuadrotorParams()
 HOVER = ControlInputs(PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)

@@ -130,7 +130,7 @@ class TestDisturbanceObserverRate:
     @pytest.mark.parametrize("ch", CHANNELS)
     def test_estimation_error_decays_at_exactly_lam_in_closed_loop(self, ch):
         # With true-state feedback the plant and the DO's model agree, so
-        # after a step the error dhat - d decays as exp(-lam t) (observers
+        # after a step the error dhat - d decays as exp(-lam t) (channel
         # docstring).  The fitted rate matches -lam to 8.4e-11 on roll,
         # pitch and yaw and 6e-12 on x, y and z, what RK4 at dt 1 ms leaves.
         # A DO that reads the model at the HGO estimates under oracle is off

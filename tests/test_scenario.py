@@ -220,12 +220,12 @@ _RANGES = [
     (GaussianNoise(0.1), {"sigma": -0.1}),
     (UniformNoise(-0.1, 0.1), {"low": None, "high": -0.2}),  # high < low is reported on high
     (BandLimitedNoise(1e-3, 0.1), {"power": -1e-3, "inner_dt": 0.0}),
-    (SampledNoise(GaussianNoise(0.1), hold=1.0), {"hold": 0.0}),
+    (SampledNoise(GaussianNoise(0.1), hold=1.0), {"hold": 0.0, "seed": -1}),
     (Scenario(duration=1.0),
      {"dt": 0.02, "duration": 0.0, "seed": -1, "decimation": 0, "psi_des": None}),
 ]
-# Number fields checked by hand instead: a type check and a check across entries.
-_HAND_CHECKED = {(SampledNoise, "seed"), (Scenario, "initial_state")}
+# Number fields checked by hand instead: a check across entries.
+_HAND_CHECKED = {(Scenario, "initial_state")}
 _FIELD_CASES = [(base, name, bad) for base, fields in _RANGES for name, bad in fields.items()]
 
 
@@ -247,6 +247,12 @@ class TestRangeRule:
                 dataclasses.replace(base, **{name: value})
             assert isinstance(exc.value, ValueError)
             assert str(exc.value) == f"{type(base).__name__}.{name} out of range: {value!r}"
+
+    def test_boolean_noise_seed_is_out_of_range(self):
+        # The loader rejects a JSON boolean by type; direct construction meets the same rule.
+        with pytest.raises(ScenarioError) as exc:
+            SampledNoise(GaussianNoise(0.1), 1.0, seed=True)
+        assert str(exc.value) == "SampledNoise.seed out of range: True"
 
     @pytest.mark.parametrize("raw, message", [
         ({"gains": {"roll": {"p": -1}}}, "bad gains.roll: ChannelGains.p out of range: -1"),

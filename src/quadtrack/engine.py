@@ -75,6 +75,7 @@ from .scenario import (
     scenario_to_dict,
     waypoint_trajectory,
 )
+from .traceformat import format_rows
 from .vehicle import (
     ANGLE_LIMIT,
     ControlInputs,
@@ -108,7 +109,7 @@ COLUMNS = (
 )
 
 TRACE_SCHEMA_VERSION = 5
-_TRACE_BLOCK_ROWS = 64  # rows per % operation in write_trace: about 50 kB of text
+_TRACE_BLOCK_ROWS = 64  # rows per format_rows call: 120 kB of frames for 60 columns
 
 
 class ClosedLoop:
@@ -414,18 +415,24 @@ def run_scenario(sc: Scenario) -> RunResult:
 def write_trace(log: SimLog, path, decimation: int = 1):
     """CSV trace: a line of column names, then every decimation-th row as comma-separated %.9g.
 
-    One % operation formats each block of rows; the bytes are np.savetxt's with fmt="%.9g".
+    The file is UTF-8 under any locale, and its bytes are np.savetxt's with fmt="%.9g".
+    format_rows (traceformat.py) formats a block of rows at a time from tables.  A magnitude a
+    in [1e-280, 1e280] is scaled once, s = a * 10**(8 - floor(log10 a)), by a correctly
+    rounded power of ten.  Two roundings part s from the exact s*, so on [1e8, 1e9)
+    |s - s*| < 2.3e-7.  Where m = rint(s) lies within 0.5 - 1e-5 of s, it lies within 0.5 of
+    s* as well: m holds the 9 correctly rounded digits, and no tie is broken.  Zeros take the
+    table path too.  Every other value is formatted by its own '%.9g' % v: NaN, infinities,
+    subnormals, magnitudes beyond the range, values within 1e-5 of a decimal tie, and the
+    rare s that log10's rounding leaves outside [1e8, 1e9).
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
     rows = log.data[::decimation]
-    line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(log.columns) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(log.columns) + "\n").encode("utf-8"))
             for start in range(0, len(rows), _TRACE_BLOCK_ROWS):
-                block = rows[start:start + _TRACE_BLOCK_ROWS]
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+                fh.write(format_rows(rows[start:start + _TRACE_BLOCK_ROWS]))
     except OSError as exc:
         raise SimulationError(f"cannot write trace to {path}: {exc}") from exc
 

@@ -1,10 +1,19 @@
 import dataclasses
+import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quadtrack import (
     CHANNELS,
@@ -33,7 +42,7 @@ from quadtrack import (
     write_summary,
     write_trace,
 )
-from quadtrack import engine
+from quadtrack import engine, traceformat
 from quadtrack.engine import PLANT_DIM, RIG_SIZE, STATE_DIM
 
 
@@ -437,6 +446,11 @@ class TestTraceIo:
         text = path.read_text()
         assert text == ",".join(COLUMNS) + "\n"
 
+    def test_zero_columns_write_an_empty_line_per_row(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(SimLog(columns=(), data=np.empty((3, 0))), path)
+        assert path.read_bytes() == b"\n" * 4
+
     def test_header_only_trace_reads_back_empty(self, tmp_path):
         # A free-fall demand aborts at t = 0, before the first row.
         log, metrics = run_scenario(scenario_from_dict({
@@ -495,6 +509,108 @@ class TestTraceIo:
             np.savetxt(fh, data[::d], fmt="%.9g", delimiter=",", header=",".join(COLUMNS),
                        comments="")
         assert path.read_bytes() == oracle.read_bytes()
+
+    @staticmethod
+    def savetxt_bytes(data, columns):
+        buf = io.BytesIO()
+        np.savetxt(buf, data, fmt="%.9g", delimiter=",", header=",".join(columns), comments="")
+        return buf.getvalue()
+
+    @staticmethod
+    def adversarial_values():
+        """Values at every layout and every edge of write_trace's table path."""
+        values = []
+        for X in range(-5, 10):  # every exponent layout and nd = 1..9 significant digits
+            for nd in range(1, 10):
+                values += [float(f"{'123456789'[:nd]}e{X - nd + 1}"),
+                           float(f"-{'987654321'[:nd]}e{X - nd + 1}")]
+        for k in range(-290, 290, 3):  # decimal ties, exact or nearest, and the 9-digit rollover
+            values += [float(f"999999999.5e{k}"), float(f"123456788.5e{k}"),
+                       float(f"123456789.5e{k}"), float(f"100000000.5e{k}")]
+        values += [100000000.5, 123456788.5, 999999999.5, 1234567895.0, 99999999950.0, 0.5, 2.5]
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])  # powers of ten +- 1 ulp
+        for t in (tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)):
+            values += list(t) + list(-t)
+        edges = np.array([1e-280, 1e280])
+        for t in (edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)):
+            values += list(t) + list(-t)
+        values += [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 2.2250738585072014e-308,
+                   0.0, -0.0, math.nan, -math.nan, np.copysign(math.nan, -1.0), math.inf,
+                   -math.inf, 1.7976931348623157e308]
+        return np.array(values)
+
+    @pytest.mark.parametrize("width", [1, 7, len(COLUMNS)])
+    def test_adversarial_values_equal_the_savetxt_oracle(self, tmp_path, width):
+        values = self.adversarial_values()
+        data = np.resize(values, (-(-len(values) // width), width))
+        columns = tuple(f"c{i}" for i in range(width))
+        path = tmp_path / "trace.csv"
+        write_trace(SimLog(columns=columns, data=data), path)
+        assert path.read_bytes() == self.savetxt_bytes(data, columns)
+
+    @pytest.mark.parametrize("data", [
+        np.array([[2**53 + 1, 2**63 - 1], [-2**63, 123456789012345678]], dtype=np.int64),
+        np.array([[True, False], [False, True]]),
+        np.random.default_rng(3).standard_normal((70, 5)).astype(np.float32) * 1e5,
+    ], ids=["int64", "bool", "float32"])
+    def test_other_dtypes_equal_the_savetxt_oracle(self, tmp_path, data):
+        columns = tuple(f"c{i}" for i in range(data.shape[1]))
+        path = tmp_path / "trace.csv"
+        write_trace(SimLog(columns=columns, data=data), path)
+        assert path.read_bytes() == self.savetxt_bytes(data, columns)
+
+    # Any float64 table of 0-200 rows and 1-8 columns, its values drawn as floats or as raw
+    # 64-bit patterns.
+    SHAPES = st.tuples(st.integers(0, 200), st.integers(1, 8))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        arrays(np.float64, SHAPES,
+               elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)),
+        SHAPES.flatmap(lambda shape: st.binary(min_size=8 * shape[0] * shape[1],
+                                               max_size=8 * shape[0] * shape[1]).map(
+            lambda raw: np.frombuffer(raw, "<f8").reshape(shape)))))
+    def test_any_table_equals_the_savetxt_oracle(self, tmp_path_factory, data):
+        columns = tuple(f"c{i}" for i in range(data.shape[1]))
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_trace(SimLog(columns=columns, data=data), path)
+        assert path.read_bytes() == self.savetxt_bytes(data, columns)
+
+    def test_scaling_error_is_within_the_stated_bound(self):
+        # write_trace's docstring: one scaling puts s within 2.3e-7 of the exact s*.
+        rng = np.random.default_rng(5)
+        a = np.concatenate([10.0 ** rng.uniform(-280, 280, 3000), 10.0 ** rng.uniform(8, 9, 500),
+                            np.nextafter(np.array([1e-280, 1e280]), [np.inf, 0.0])])
+        errors = []
+        for v in a.tolist():
+            e = math.floor(math.log10(v))
+            s = v * traceformat._POW10[traceformat._EXP_MAX - e]
+            if 1e8 <= s < 1e9:  # else % formats v
+                errors.append(abs(Fraction(s) - Fraction(v) * Fraction(10) ** (8 - e)))
+        assert len(errors) > 3400
+        assert max(errors) < 2.3e-7
+
+    def test_formatter_tables_stay_small(self):
+        # The formatter's lookup tables, built at import, hold at most 256 kB.
+        tables = [v for v in vars(traceformat).values() if isinstance(v, np.ndarray)]
+        assert sum(t.nbytes for t in tables) <= 256_000
+
+    def test_utf8_under_the_c_locale(self, tmp_path):
+        # A column name outside ASCII is written as UTF-8, which read_trace decodes.
+        src = str(pathlib.Path(engine.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import sys, numpy as np\n"
+                "from quadtrack import SimLog, read_trace, write_trace\n"
+                "cols = ('t', '\\u03b8')\n"
+                "write_trace(SimLog(columns=cols, data=np.ones((2, 2))), sys.argv[1])\n"
+                "print(read_trace(sys.argv[1]).columns == cols)\n")
+        path = tmp_path / "trace.csv"
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
+        assert path.read_bytes() == "t,\u03b8\n1,1\n1,1\n".encode("utf-8")
 
     def test_write_read_write_is_stable(self, tmp_path):
         sc = dataclasses.replace(Scenario(), duration=0.1)

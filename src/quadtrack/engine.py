@@ -429,40 +429,50 @@ def write_trace(log: SimLog, path, decimation: int = 1):
         raise ValueError("decimation must be >= 1")
     rows = log.data[::decimation]
     try:
+        header = (",".join(log.columns) + "\n").encode("utf-8")
         with open(path, "wb") as fh:
-            fh.write((",".join(log.columns) + "\n").encode("utf-8"))
+            fh.write(header)
             for start in range(0, len(rows), _TRACE_BLOCK_ROWS):
                 fh.write(format_rows(rows[start:start + _TRACE_BLOCK_ROWS]))
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise SimulationError(f"cannot write trace to {path}: {exc}") from exc
 
 
 def read_trace(path) -> SimLog:
     """Read a write_trace CSV; a header-only trace reads as a (0, len(columns)) array.
 
-    A file that is not UTF-8, a missing header, or a body that is not one value per column
-    per line raises SimulationError.
+    The body streams from the file into np.loadtxt one line at a time, counted as it passes,
+    so no list of lines is held beside the table.  A file that is not UTF-8 or cannot be read,
+    a missing header, or a body that is not one value per column per line raises
+    SimulationError.
     """
+    lines = 0
+
+    def counted(fh):
+        nonlocal lines
+        for line in fh:
+            lines += 1
+            yield line
+
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
-            body = fh.readlines()
+            if not header:
+                raise SimulationError(f"trace {path} has no header line")
+            # loadtxt skips blank lines, warning if that leaves nothing; the shape check rejects them.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(counted(fh), delimiter=",", ndmin=2)
+    # A UnicodeDecodeError is a ValueError; the body decodes inside loadtxt, so it goes first.
     except (OSError, UnicodeDecodeError) as exc:
         raise SimulationError(f"cannot read trace from {path}: {exc}") from exc
-    if not header:
-        raise SimulationError(f"trace {path} has no header line")
-    columns = tuple(header.split(","))
-    if not body:
-        return SimLog(columns=columns, data=np.empty((0, len(columns))))
-    try:
-        # loadtxt skips blank lines, warning if that leaves nothing; the shape check rejects them.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(body, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise SimulationError(f"cannot parse trace {path}: {exc}") from exc
-    if data.shape != (len(body), len(columns)):
-        raise SimulationError(f"trace {path}: {len(body)} lines of {len(columns)} columns "
+    columns = tuple(header.split(","))
+    if not lines:
+        return SimLog(columns=columns, data=np.empty((0, len(columns))))
+    if data.shape != (lines, len(columns)):
+        raise SimulationError(f"trace {path}: {lines} lines of {len(columns)} columns "
                               f"read as a {data.shape} table")
     return SimLog(columns=columns, data=data)
 

@@ -1,4 +1,6 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from test_scenario import _floats, _valid_overrides
 
 import quadtrack
 from quadtrack import cli, read_trace
@@ -289,6 +294,63 @@ class TestStrictJson:
         runs = strict_json(out / "sweep.json")["runs"]
         assert [run["completed"] for run in runs] == [False, False]
         assert all(set(run["tracking_rmse"].values()) == {None} for run in runs)
+
+
+# A valid override of 1-30 steps with any toggles, with or without an initial state: entries
+# in [-1, 1], of which up to three have a magnitude of 10**U(-308, 308).
+_WIDE = st.tuples(st.sampled_from([-1.0, 1.0]), _floats(-308.0, 308.0)).map(
+    lambda se: se[0] * 10.0 ** se[1])
+_INITIAL_STATES = st.tuples(
+    st.lists(_floats(-1.0, 1.0), min_size=12, max_size=12),
+    st.dictionaries(st.integers(0, 11), _WIDE, max_size=3),
+).map(lambda drawn: [drawn[1].get(i, v) for i, v in enumerate(drawn[0])])
+_SHORT_RUNS = st.tuples(
+    _valid_overrides(), st.integers(1, 30),
+    st.fixed_dictionaries({}, optional=dict.fromkeys(("position_do", "true_state_feedback"),
+                                                     st.booleans())),
+    st.none() | _INITIAL_STATES)
+
+
+class TestRunProperty:
+    @staticmethod
+    def run(cfg, out):
+        """main(["run", ...]) -> (exit code, stderr); an exception escapes as a traceback would."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--scenario", str(cfg), "--out", str(out)])
+        return code, err.getvalue()
+
+    # An x of 1e200 overflows numpy's arithmetic in the first step, which must stay quiet.
+    @example(({"disturbances": {}, "sim": {"dt": 1e-3}}, 10, {}, [0.0] * 6 + [1e200] + [0.0] * 5))
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_SHORT_RUNS)
+    def test_any_loadable_dict_runs_to_a_structured_end(self, tmp_path_factory, drawn):
+        overrides, steps, toggles, initial_state = drawn
+        # Band-limited noise draws hold / inner_dt normals however short the run (up to 1e9,
+        # 8 GB, here); keep the draws that fit in memory.
+        assume(all(d.get("kind") != "band_limited" or d["hold"] <= 1e6 * d["inner_dt"]
+                   for d in overrides["disturbances"].values()))
+        sim = {**overrides["sim"], "duration": steps * overrides["sim"]["dt"]}
+        raw = {**overrides, "sim": sim, "toggles": toggles}
+        if initial_state is not None:
+            raw["initial_state"] = initial_state
+        root = tmp_path_factory.mktemp("run")
+        cfg = root / "scenario.json"
+        cfg.write_text(json.dumps(raw))
+        code, err = self.run(cfg, root / "a")
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        summary = root / "a" / "summary.json"
+        payload = strict_json(summary) if summary.exists() else None
+        if code == 3:
+            assert (payload and payload["abort"]) or err.strip()
+        again = self.run(cfg, root / "b")
+        assert again == (code, err.replace(str(root / "a"), str(root / "b")))
+        for name in ("trace.csv", "summary.json"):
+            first, second = root / "a" / name, root / "b" / name
+            assert first.exists() == second.exists()
+            if first.exists():
+                assert first.read_bytes() == second.read_bytes()
 
 
 def _python(*args, cwd):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -474,6 +475,33 @@ class TestTraceIo:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(SimulationError, match="cannot read trace"):
             read_trace(path)
+
+    def test_undecodable_body_line(self, tmp_path):
+        # The bad byte lies beyond the first read of the file, so it decodes inside loadtxt.
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 10_000 + b"\xff\n")
+        with pytest.raises(SimulationError, match="cannot read trace"):
+            read_trace(path)
+
+    def test_unencodable_column_name_leaves_no_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(SimulationError, match="cannot write trace to"):
+            write_trace(SimLog(columns=("t", "\udcff"), data=np.ones((1, 2))), path)
+        assert not path.exists()
+
+    def test_read_peaks_near_the_table_size(self, tmp_path):
+        # The body streams into the parser: no list of lines is held beside the table.
+        data = np.random.default_rng(0).standard_normal((1001, len(COLUMNS)))
+        path = tmp_path / "trace.csv"
+        write_trace(SimLog(columns=COLUMNS, data=data), path)
+        read_trace(path)
+        tracemalloc.start()
+        try:
+            read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * data.nbytes
 
     def test_special_values_round_trip(self, tmp_path):
         data = np.zeros((2, len(COLUMNS)))

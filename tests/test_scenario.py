@@ -24,10 +24,12 @@ from quadtrack import (
     UniformNoise,
     load_scenario,
     make_generator,
+    reference_trajectory,
     run_scenario,
     scenario_digest,
     scenario_from_dict,
     scenario_to_dict,
+    waypoint_trajectory,
 )
 
 
@@ -264,6 +266,81 @@ class TestRangeRule:
         with pytest.raises(ScenarioError) as exc:
             scenario_from_dict(raw)
         assert str(exc.value) == message
+
+
+class TestReferenceTrajectory:
+    def test_start_point(self):
+        assert reference_trajectory(0.0) == pytest.approx((0.0, 2.0, 1.0))
+
+    def test_half_circle(self):
+        x, y, z = reference_trajectory(15.0 * math.pi)
+        assert x == pytest.approx(6.0)
+        assert y == pytest.approx(2.0)
+        assert z == pytest.approx(1.0 + 1.5 * math.pi)
+        assert z == pytest.approx(5.7124, abs=1e-4)
+
+    def test_mission_endpoint(self):
+        x, y, z = reference_trajectory(120.0)
+        assert x == pytest.approx(3.0 - 3.0 * math.cos(8.0))
+        assert y == pytest.approx(2.0 + 3.0 * math.sin(8.0))
+        assert z == pytest.approx(13.0)
+
+    def test_circle_radius_exact(self):
+        for t in np.linspace(0.0, 200.0, 500):
+            x, y, _ = reference_trajectory(t)
+            assert (x - 3.0) ** 2 + (y - 2.0) ** 2 == pytest.approx(9.0, rel=1e-12)
+
+    def test_climb_rate_exact(self):
+        for t in (0.0, 7.3, 50.0, 119.9):
+            assert reference_trajectory(t)[2] == pytest.approx(1.0 + 0.1 * t, rel=1e-15)
+
+
+class TestWaypointTrajectory:
+    def test_linear_interpolation_and_end_hold(self):
+        traj = waypoint_trajectory([[0.0, 0.0, 0.0, 1.0], [10.0, 2.0, -4.0, 3.0]])
+        assert traj(5.0) == pytest.approx((1.0, -2.0, 2.0))
+        assert traj(25.0) == pytest.approx((2.0, -4.0, 3.0))
+        assert traj(-1.0) == pytest.approx((0.0, 0.0, 1.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_np_interp_exactly(self, data):
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        times = sorted(data.draw(st.lists(coord, min_size=1, max_size=6, unique=True)))
+        points = data.draw(st.lists(st.tuples(coord, coord, coord), min_size=len(times),
+                                    max_size=len(times)))
+        table = np.array([[t, *p] for t, p in zip(times, points)])
+        inside = st.floats(times[0], times[-1])
+        outside = st.floats(1e-9, 1e3).flatmap(
+            lambda h: st.sampled_from([times[0] - h, times[-1] + h]))
+        queries = data.draw(st.lists(inside | st.sampled_from(times) | outside,
+                                     min_size=1, max_size=20))
+        traj = waypoint_trajectory(table.tolist())
+        for t in queries:
+            want = tuple(float(np.interp(t, table[:, 0], table[:, k])) for k in (1, 2, 3))
+            assert traj(t) == want, t
+
+    @pytest.mark.parametrize("rows", [
+        # the time span overflows (np.interp's first try gives 0 * inf = NaN)
+        [[-1e308, 0.0, 5.0, -1.0], [1e308, 0.0, 1e308, -1e308]],
+        # the span and the x difference overflow (np.interp's slope is inf / inf)
+        [[-1e308, -1e308, 0.0, 0.0], [1e308, 1e308, 1.0, 0.0]],
+        # only the z difference overflows
+        [[0.0, 0.0, 0.0, -1e308], [1.0, 0.0, 0.0, 1e308]],
+    ])
+    def test_rejects_segments_that_overflow(self, rows):
+        with pytest.raises(ValueError, match="must be finite"):
+            waypoint_trajectory(rows)
+        with pytest.raises(ScenarioError, match="bad waypoints"):
+            scenario_from_dict({"trajectory": {"type": "waypoints", "points": rows}})
+
+    def test_rejects_bad_tables(self):
+        with pytest.raises(ValueError):
+            waypoint_trajectory([])
+        with pytest.raises(ValueError):
+            waypoint_trajectory([[0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError):
+            waypoint_trajectory([[0.0, 0, 0, 0], [0.0, 1, 1, 1]])
 
 
 class TestScenarioOwnsItsTrajectory:

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from quadtrack import (
     ControlInputs,
+    DenominatorTooSmallError,
     NonFiniteError,
     QuadrotorParams,
     RotorSpeeds,
     acceleration_from_attitude,
     attitude_coupling,
     attitude_input_gain,
+    extract_thrust_and_attitude,
     mix_inputs_to_rotor_speeds,
     residual_speed,
     state_derivative,
@@ -252,6 +254,54 @@ class TestVirtualFromAngles:
         for _ in range(500):
             ux, uy = virtual_from_angles(*rng.uniform(-math.pi, math.pi, 3))
             assert -1.0 <= ux <= 1.0 and -1.0 <= uy <= 1.0
+
+
+class TestThrustAttitudeExtraction:
+    def test_level_hover(self):
+        phi, theta, _, up = extract_thrust_and_attitude(PARAMS, 0.0, 0.0, 0.0, 0.0)
+        assert phi == 0.0 and theta == 0.0
+        assert up == pytest.approx(6.3765, abs=1e-8)
+
+    def test_forward_acceleration(self):
+        phi, theta, _, up = extract_thrust_and_attitude(PARAMS, PARAMS.g, 0.0, 0.0, 0.0)
+        assert theta == pytest.approx(math.pi / 4)
+        assert phi == pytest.approx(0.0, abs=1e-15)
+        assert up == pytest.approx(PARAMS.m * PARAMS.g * math.sqrt(2), rel=1e-9)
+        assert up == pytest.approx(9.0177, abs=2e-4)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-PARAMS.g + 0.2, 1e3),
+           st.floats(-math.pi, math.pi))
+    def test_round_trip_against_forward_model(self, ux, uy, uz, psi):
+        # The bound the acceleration_from_attitude docstring states.
+        phi, theta, psi_des, up = extract_thrust_and_attitude(PARAMS, ux, uy, uz, psi)
+        assert psi_des == psi
+        acc = up / PARAMS.m
+        bound = 4.0 * EPS * acc * acc / (uz + PARAMS.g)
+        back = acceleration_from_attitude(PARAMS, phi, theta, psi, up)
+        for got, want in zip(back, (ux, uy, uz)):
+            assert abs(got - want) <= bound
+
+    def test_angles_always_inside_validity_range(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            phi, theta, _, up = extract_thrust_and_attitude(
+                PARAMS, rng.uniform(-50, 50), rng.uniform(-50, 50),
+                rng.uniform(-PARAMS.g + 0.2, 50), rng.uniform(-math.pi, math.pi))
+            assert abs(phi) < math.pi / 2
+            assert abs(theta) < math.pi / 2
+            assert up >= 0.0
+
+    def test_thrust_increases_with_vertical_demand(self):
+        ups = [extract_thrust_and_attitude(PARAMS, 1.0, -2.0, uz, 0.3)[3]
+               for uz in np.linspace(-5.0, 10.0, 40)]
+        assert all(a < b for a, b in zip(ups, ups[1:]))
+
+    def test_free_fall_guard(self):
+        with pytest.raises(DenominatorTooSmallError):
+            extract_thrust_and_attitude(PARAMS, 0.0, 0.0, -PARAMS.g, 0.0)
+        with pytest.raises(DenominatorTooSmallError):
+            extract_thrust_and_attitude(PARAMS, 1.0, 1.0, -PARAMS.g + 0.05, 0.0)
 
 
 class TestParamsValidation:

@@ -28,6 +28,7 @@ from .disturbances import (
     UniformNoise,
     make_generator,
     noise_boundary_values,
+    noise_draw_size,
 )
 from .engine import (
     COLUMNS,

@@ -9,7 +9,7 @@ deterministic given their seed.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -97,11 +97,35 @@ class NoDisturbance:
 DisturbanceSpec = Union[Sinusoid, Step, Ramp, SampledNoise, NoDisturbance]
 
 
+# A run reads its disturbances at RK4 stage times up to n dt.  The scenario's step rule
+# (scenario.STEP_COUNT_RTOL) keeps n dt within 1e-9 of the duration, relatively, before
+# rounding; twice that covers the rounding too.
+_HORIZON_SLACK = 2e-9
+
+
+def noise_draw_size(spec: SampledNoise, horizon: float) -> Tuple[float, float]:
+    """(hold boundaries, random values) that a run to `horizon` draws for `spec`.
+
+    The boundaries are those a run can read, at 0, hold, 2 hold, ... up to the horizon:
+    floor(horizon (1 + 2e-9) / hold) + 1.  Band-limited noise draws its inner white
+    sequence up to the last of them.  The counts are floats, inf where they overflow.
+    """
+    boundaries = _floor_plus_one(horizon * (1.0 + _HORIZON_SLACK) / spec.hold)
+    if not isinstance(spec.kind, BandLimitedNoise):
+        return boundaries, boundaries
+    return boundaries, _floor_plus_one((boundaries - 1.0) * spec.hold / spec.kind.inner_dt)
+
+
+def _floor_plus_one(x: float) -> float:
+    return math.floor(x) + 1.0 if x < math.inf else math.inf
+
+
 def noise_boundary_values(kind: NoiseKind, seed, count: int, hold: float) -> np.ndarray:
     """The first `count` hold-boundary values of a seeded noise stream.
 
     Same seed, same sequence.  Band-limited noise reads the outer hold to
-    subsample its inner white sequence at the boundaries.
+    subsample its inner white sequence at the boundaries, and draws that
+    sequence up to the last inner step it reads.
     """
     rng = np.random.default_rng(seed)
     if isinstance(kind, GaussianNoise):
@@ -109,9 +133,8 @@ def noise_boundary_values(kind: NoiseKind, seed, count: int, hold: float) -> np.
     if isinstance(kind, UniformNoise):
         return rng.uniform(kind.low, kind.high, count)
     if isinstance(kind, BandLimitedNoise):
-        inner_count = int(math.floor((count - 1) * hold / kind.inner_dt)) + 1 if count else 0
-        white = rng.normal(0.0, math.sqrt(kind.power / kind.inner_dt), inner_count)
         idx = np.floor(np.arange(count) * hold / kind.inner_dt).astype(int)
+        white = rng.normal(0.0, math.sqrt(kind.power / kind.inner_dt), idx[-1] + 1 if count else 0)
         return white[idx]
     raise TypeError(f"unknown noise kind: {kind!r}")
 
@@ -127,16 +150,19 @@ class _AnalyticGenerator:
 
 
 class SampledNoiseGenerator:
-    """Piecewise-constant noise, one draw per hold interval [k h, (k+1) h)."""
+    """Piecewise-constant noise, one draw per hold interval [k h, (k+1) h).
+
+    It draws the boundaries noise_draw_size counts; a time past them reads the last.
+    """
 
     __slots__ = ("hold", "_values", "_count")
 
     def __init__(self, spec: SampledNoise, seed, horizon: float):
         self.hold = spec.hold
-        self._count = int(math.floor(horizon / spec.hold)) + 2
         try:
+            self._count = int(noise_draw_size(spec, horizon)[0])
             values = noise_boundary_values(spec.kind, seed, self._count, spec.hold)
-        except ValueError as exc:  # the spec is valid, so numpy refused the size
+        except (OverflowError, ValueError) as exc:  # a valid spec, but a size no array holds
             raise MemoryError(str(exc)) from exc
         self._values = values.tolist()
 
@@ -150,7 +176,12 @@ class SampledNoiseGenerator:
 
 
 def make_generator(spec: DisturbanceSpec, seed, horizon: float):
-    """Build the evaluator for one channel; `seed` is only used for noise."""
+    """Build the evaluator for one channel.
+
+    `seed` is anything np.random.default_rng accepts, such as the (scenario seed, channel
+    index) entropy tuple ClosedLoop passes.  Only noise reads it, and then only when the
+    spec carries no seed of its own, so an analytic channel builds no random state.
+    """
     if isinstance(spec, NoDisturbance):
         return _AnalyticGenerator(lambda t: 0.0)
     if isinstance(spec, Sinusoid):

@@ -137,11 +137,8 @@ class ClosedLoop:
         else:
             self._traj = waypoint_trajectory(scenario.trajectory["points"])
         self._values = tuple(
-            make_generator(
-                scenario.disturbances[ch],
-                np.random.SeedSequence((scenario.seed, idx)),
-                scenario.duration,
-            ).value
+            make_generator(scenario.disturbances[ch], (scenario.seed, idx), scenario.duration)
+            .value
             for idx, ch in enumerate(CHANNELS)
         )
 

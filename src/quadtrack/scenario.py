@@ -31,7 +31,10 @@ its kind's fields beside its own.  Each dataclass checks every number field
 against the range beside it, and that it is finite, by one rule when it is
 constructed (errors.require_fields), so `dataclasses.replace` re-validates.
 `Scenario` also checks across fields: the duration must be a whole number of
-steps of dt, and no more than sys.maxsize steps or noise draws.
+steps of dt, and needs no more than sys.maxsize steps, nor noise draws for any
+channel.  A noise channel draws one value per hold boundary a run can read, the
+last at the duration (band-limited noise its inner sequence up to that boundary),
+as disturbances.noise_draw_size counts.
 """
 
 import dataclasses
@@ -59,6 +62,7 @@ from .disturbances import (
     Sinusoid,
     Step,
     UniformNoise,
+    noise_draw_size,
 )
 from .errors import ScenarioError, require_fields
 from .vehicle import ANGLE_LIMIT, QuadrotorParams
@@ -176,11 +180,11 @@ class Scenario:
             raise ScenarioError(f"gains must cover exactly {CHANNELS}")
         if set(self.disturbances) != set(CHANNELS):
             raise ScenarioError(f"disturbances must cover exactly {CHANNELS}")
-        # A run allocates a log row per step and a noise draw per hold (or inner_dt).
-        noise = [s for s in self.disturbances.values() if isinstance(s, SampledNoise)]
-        counts = [steps, *(self.duration / s.hold for s in noise), *(
-            (self.duration + s.hold) / s.kind.inner_dt
-            for s in noise if isinstance(s.kind, BandLimitedNoise))]
+        # A run allocates a log row per step.  Per noise channel it draws a value per hold
+        # boundary up to the duration, and band-limited noise its inner sequence up to the last
+        # of them; disturbances.noise_draw_size counts both.
+        counts = [steps, *(n for s in self.disturbances.values() if isinstance(s, SampledNoise)
+                           for n in noise_draw_size(s, self.duration))]
         if max(counts) > sys.maxsize:
             raise ScenarioError(f"duration {self.duration} needs {max(counts):.3g} steps or draws")
         if len(self.initial_state) != 12:

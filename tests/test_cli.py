@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_scenario import _floats, _valid_overrides
 
 import quadtrack
-from quadtrack import cli, read_trace
+from quadtrack import CHANNELS, cli, read_trace
 from quadtrack.cli import main
 
 
@@ -326,11 +326,11 @@ class TestRunProperty:
     @given(_SHORT_RUNS)
     def test_any_loadable_dict_runs_to_a_structured_end(self, tmp_path_factory, drawn):
         overrides, steps, toggles, initial_state = drawn
-        # Band-limited noise draws hold / inner_dt normals however short the run (up to 1e9,
-        # 8 GB, here); keep the draws that fit in memory.
-        assume(all(d.get("kind") != "band_limited" or d["hold"] <= 1e6 * d["inner_dt"]
-                   for d in overrides["disturbances"].values()))
         sim = {**overrides["sim"], "duration": steps * overrides["sim"]["dt"]}
+        # Band-limited noise draws about duration / inner_dt normals, whatever the hold (up to
+        # 3e5 here); keep the draws that fit in memory.
+        assume(all(d.get("kind") != "band_limited" or sim["duration"] <= 1e6 * d["inner_dt"]
+                   for d in overrides["disturbances"].values()))
         raw = {**overrides, "sim": sim, "toggles": toggles}
         if initial_state is not None:
             raw["initial_state"] = initial_state
@@ -367,6 +367,21 @@ def _module(*args, cwd):
     return _python("-m", "quadtrack", *args, cwd=cwd)
 
 
+# `quadtrack run argv` in a 4 GiB address space; prints its exit code and the tracemalloc peak of
+# building its roll generator again, numpy.random already loaded.
+_CAPPED_RUN = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32))
+from quadtrack import load_scenario, make_generator
+from quadtrack.cli import main
+code = main(sys.argv[1:])
+sc = load_scenario(sys.argv[3])
+tracemalloc.start()
+make_generator(sc.disturbances["roll"], (sc.seed, 0), sc.duration)
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
 class TestEntryPoint:
     def test_run_exits_0_and_writes_outputs(self, tmp_path):
         cfg = tmp_path / "short.json"
@@ -385,6 +400,31 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"scenario error: scenario file {bad} is not valid JSON")
+
+    def test_hold_past_a_short_run_exits_0_in_a_capped_address_space(self, tmp_path):
+        # 1 ms of noise held for 1000 s reads one boundary, so it draws one inner normal; drawing
+        # out to the next boundary, at 1000 s, asked for 1e9 normals (7.45 GiB).
+        cfg = tmp_path / "long_hold.json"
+        cfg.write_text(json.dumps({"sim": {"duration": 0.001}, "disturbances": {"roll": {
+            "type": "noise", "kind": "band_limited", "power": 1, "inner_dt": 1e-6,
+            "hold": 1000}}}))
+        proc = _python("-c", _CAPPED_RUN, "run", "--scenario", cfg, "--out", tmp_path / "out",
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, peak = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert peak < 1_000_000  # bytes that building the roll generator holds at its peak
+
+    def test_a_noise_free_run_leaves_numpy_random_unloaded(self, tmp_path):
+        # Only noise reads a seed, so a run without it never imports numpy.random (about 2 MB).
+        cfg = tmp_path / "quiet.json"
+        cfg.write_text(json.dumps({"disturbances": dict.fromkeys(CHANNELS, {"type": "none"}),
+                                   "sim": {"duration": 0.01}}))
+        argv = ["run", "--scenario", str(cfg), "--out", str(tmp_path / "out")]
+        proc = _python("-c", "import sys; from quadtrack.cli import main; "
+                       f"print(main({argv!r}), 'numpy.random' in sys.modules)", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_importing_the_cli_leaves_the_process_pool_unloaded(self, tmp_path):
         # Only sweep --jobs N > 1 uses the pool; importing it costs every process about 2 MB.

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtrack import (
+    CHANNELS,
     BandLimitedNoise,
+    ClosedLoop,
     GaussianNoise,
     NoDisturbance,
     Ramp,
@@ -16,7 +18,10 @@ from quadtrack import (
     UniformNoise,
     make_generator,
     noise_boundary_values,
+    noise_draw_size,
+    scenario_from_dict,
 )
+from quadtrack import engine
 
 
 class TestAnalyticShapes:
@@ -113,6 +118,73 @@ class TestSampledNoise:
         short, long = counts
         head = noise_boundary_values(kind, seed, short, hold)
         assert head.tobytes() == noise_boundary_values(kind, seed, long, hold)[:short].tobytes()
+
+
+def _stage_times(sc):
+    """Every time run_scenario reads the disturbances: each step's t, t + dt/2 and t + dt."""
+    t = np.arange(int(round(sc.duration / sc.dt)) + 1) * sc.dt
+    return np.concatenate([t, t[:-1] + 0.5 * sc.dt, t[:-1] + sc.dt])
+
+
+def _noise(kind, hold, **fields):
+    return {"type": "noise", "kind": kind, "hold": hold, **fields}
+
+
+class TestDrawSize:
+    def test_counts_the_boundaries_up_to_the_horizon(self):
+        spec = SampledNoise(BandLimitedNoise(power=1.0, inner_dt=0.01), hold=0.1)
+        assert noise_draw_size(spec, 0.3) == (4.0, 31.0)
+        assert noise_draw_size(spec, 0.29) == (3.0, 21.0)
+        assert noise_draw_size(SampledNoise(GaussianNoise(1.0), hold=0.1), 0.3) == (4.0, 4.0)
+        # A hold past the horizon draws one value, not an inner sequence out to the next boundary.
+        long_hold = SampledNoise(BandLimitedNoise(power=1.0, inner_dt=1e-6), hold=1000.0)
+        assert noise_draw_size(long_hold, 0.001) == (1.0, 1.0)
+
+    def test_an_overflowing_count_is_inf(self):
+        assert noise_draw_size(SampledNoise(GaussianNoise(1.0), hold=5e-324), 1.0) == (
+            math.inf, math.inf)
+        tiny = SampledNoise(BandLimitedNoise(power=1.0, inner_dt=5e-324), hold=1e300)
+        assert noise_draw_size(tiny, 1e300) == (2.0, math.inf)
+        with pytest.raises(MemoryError):  # as for a size numpy refuses
+            make_generator(SampledNoise(GaussianNoise(1.0), hold=5e-324), 0, 1.0)
+
+    # Every value a run reads equals the value drawn for floor(horizon / hold) + 2 boundaries,
+    # one past the horizon, seeded by np.random.SeedSequence((seed, channel index)).  The third
+    # scenario's duration is 1e-9 short of 37 steps, as the step rule admits, so its last stage
+    # reads the boundary at 37 dt, past the duration.
+    @pytest.mark.parametrize("raw", [
+        {},
+        {"sim": {"duration": 0.3, "seed": 11}, "disturbances": {
+            "roll": _noise("band_limited", 0.1, power=1e-3, inner_dt=1e-3),
+            "pitch": _noise("band_limited", 0.15, power=1e-2, inner_dt=0.03),
+            "yaw": _noise("band_limited", 0.05, power=1e-3, inner_dt=0.1),
+            "x": _noise("gaussian", 0.06, sigma=0.3),
+            "y": _noise("uniform", 0.075, low=-1.0, high=0.5, seed=4),
+            "z": _noise("band_limited", 0.3, power=1.0, inner_dt=0.07)}},
+        {"sim": {"duration": 0.036999999963}, "disturbances": {
+            "roll": _noise("gaussian", 0.007400000000000001, sigma=1.0),
+            "yaw": _noise("band_limited", 0.007400000000000001, power=1e-3, inner_dt=1e-3)}},
+    ], ids=["stock", "whole_holds", "step_rule_edge"])
+    def test_every_stage_time_reads_a_value_the_old_rule_drew(self, monkeypatch, raw):
+        built = []
+
+        def recording(spec, seed, horizon):
+            built.append(make_generator(spec, seed, horizon))
+            return built[-1]
+
+        monkeypatch.setattr(engine, "make_generator", recording)
+        sc = scenario_from_dict(raw)
+        ClosedLoop(sc)
+        times = _stage_times(sc)
+        for idx, (ch, gen) in enumerate(zip(CHANNELS, built)):
+            spec = sc.disturbances[ch]
+            if not isinstance(spec, SampledNoise):
+                continue
+            count = math.floor(sc.duration / spec.hold) + 2
+            seed = np.random.SeedSequence((sc.seed, idx)) if spec.seed is None else spec.seed
+            drawn = noise_boundary_values(spec.kind, seed, count, spec.hold)
+            expected = drawn[np.minimum((times / spec.hold).astype(int), count - 1)]
+            assert [gen.value(t) for t in times.tolist()] == expected.tolist(), ch
 
 
 class TestSpecValidation:

@@ -24,6 +24,7 @@ from quadtrack import (
     UniformNoise,
     load_scenario,
     make_generator,
+    noise_draw_size,
     reference_trajectory,
     run_scenario,
     scenario_digest,
@@ -188,18 +189,30 @@ class TestValidationErrors:
             {"sim": {"dt": 1e-300, "duration": 1.0}},
             {"sim": {"duration": 0.01}, "disturbances": {"roll": {
                 "type": "noise", "kind": "gaussian", "sigma": 0.1, "hold": 1e-300}}},
+            # inner_dt draws run to the last hold boundary the run reads, here at 0.01 s.
             {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
                 "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-300,
-                "hold": 0.05}}},
-            # inner_dt draws run to the last hold boundary, past the duration.
+                "hold": 0.005}}},
             {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
-                "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-9,
-                "hold": 1e10}}},
+                "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-30,
+                "hold": 0.005}}},
         ],
     )
     def test_rejected(self, raw):
         with pytest.raises(ScenarioError):
             scenario_from_dict(raw)
+
+    # A hold that outlasts the run: its only boundary is at 0, so one inner normal is drawn.
+    @pytest.mark.parametrize("inner_dt, hold", [(1e-300, 0.05), (1e-9, 1e10)])
+    def test_hold_past_the_run_draws_one_inner_normal(self, inner_dt, hold):
+        sc = scenario_from_dict({"sim": {"duration": 0.01}, "disturbances": {"yaw": {
+            "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": inner_dt,
+            "hold": hold, "seed": 3}}})
+        spec = sc.disturbances["yaw"]
+        assert noise_draw_size(spec, sc.duration) == (1.0, 1.0)
+        gen = make_generator(spec, None, sc.duration)
+        first = np.random.default_rng(3).normal(0.0, math.sqrt(1e-3 / inner_dt), 1)[0]
+        assert gen.value(0.0) == gen.value(sc.duration) == first
 
     @pytest.mark.parametrize("change", [{"dt": 0.02}, {"trajectory": {"type": "parabola"}}])
     def test_construction_validates(self, change):

@@ -86,7 +86,7 @@ class SampledNoise:
     def __post_init__(self):
         require_fields(self, hold=self.hold > 0.0)
         if self.seed is not None:
-            require_fields(self, seed=type(self.seed) is int and self.seed >= 0)
+            require_fields(self, seed=self.seed >= 0)
 
 
 @dataclass(frozen=True)

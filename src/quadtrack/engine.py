@@ -132,10 +132,8 @@ class ClosedLoop:
             observers.append((base, 2 * i, g.beta1, g.beta2, g.eps, g.lam))
         self._fronts, self._laws, self._observers = tuple(fronts), tuple(laws), tuple(observers)
         self._att_gain = tuple(attitude_input_gain(ax, self.params) for ax in CHANNELS[:3])
-        if scenario.trajectory["type"] == "helix":
-            self._traj = reference_trajectory
-        else:
-            self._traj = waypoint_trajectory(scenario.trajectory["points"])
+        self._traj = (reference_trajectory if scenario.waypoints is None
+                      else waypoint_trajectory(scenario.waypoints))
         self._values = tuple(
             make_generator(scenario.disturbances[ch], (scenario.seed, idx), scenario.duration)
             .value

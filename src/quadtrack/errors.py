@@ -15,8 +15,8 @@ def require_fields(obj, **in_range):
     """ScenarioError("Class.field out of range: value") for the first field not ok or not finite."""
     for name, ok in in_range.items():
         value = getattr(obj, name)
-        # An int is finite at any size; math.isfinite would overflow beyond the float range.
-        if not (ok and (isinstance(value, int) or math.isfinite(value))):
+        # A bool is no number; an int is finite at any size, where math.isfinite would overflow.
+        if type(value) is bool or not (ok and (isinstance(value, int) or math.isfinite(value))):
             raise ScenarioError(f"{type(obj).__name__}.{name} out of range: {value!r}")
 
 

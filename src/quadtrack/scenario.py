@@ -30,7 +30,10 @@ does not change) as long as it fits in a float.  A noise disturbance carries
 its kind's fields beside its own.  Each dataclass checks every number field
 against the range beside it, and that it is finite, by one rule when it is
 constructed (errors.require_fields), so `dataclasses.replace` re-validates.
-`Scenario` also checks across fields: the duration must be a whole number of
+`Scenario` holds the trajectory as `waypoints`: (t, x, y, z) rows, or None for
+the helix; the `{"type": ...}` tag lives only in the file.  It checks those rows
+and `initial_state` as the loader does and keeps tuple copies, which no caller
+can edit.  It also checks across fields: the duration must be a whole number of
 steps of dt, and needs no more than sys.maxsize steps, nor noise draws for any
 channel.  A noise channel draws one value per hold boundary a run can read, the
 last at the duration (band-limited noise its inner sequence up to that boundary),
@@ -47,7 +50,7 @@ import typing
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -153,7 +156,7 @@ class Toggles:
 class Scenario:
     params: QuadrotorParams = field(default_factory=QuadrotorParams)
     gains: Dict[str, ChannelGains] = field(default_factory=_STOCK_GAINS.copy)
-    trajectory: dict = field(default_factory=lambda: {"type": "helix"})
+    waypoints: Optional[Tuple[Tuple[float, ...], ...]] = None  # (t, x, y, z) rows; None: helix
     disturbances: Dict[str, DisturbanceSpec] = field(default_factory=_STOCK_DISTURBANCES.copy)
     psi_des: float = 0.0          # yaw setpoint [rad], finite
     initial_state: Tuple[float, ...] = (0.0,) * 12
@@ -187,24 +190,22 @@ class Scenario:
                            for n in noise_draw_size(s, self.duration))]
         if max(counts) > sys.maxsize:
             raise ScenarioError(f"duration {self.duration} needs {max(counts):.3g} steps or draws")
+        object.__setattr__(self, "initial_state", _numbers(self.initial_state, "initial_state"))
         if len(self.initial_state) != 12:
             raise ScenarioError("initial_state must have 12 entries")
         if not all(math.isfinite(v) for v in self.initial_state):
             raise ScenarioError("initial_state must be finite numbers")
         if abs(self.initial_state[0]) >= ANGLE_LIMIT or abs(self.initial_state[2]) >= ANGLE_LIMIT:
             raise ScenarioError("initial roll/pitch outside the model validity range")
-        kind = self.trajectory.get("type")
-        if kind not in ("helix", "waypoints"):
-            raise ScenarioError(f"unknown trajectory type: {kind!r}")
-        # The scenario keeps its own copy, waypoint rows as tuples, so no caller can edit it.
-        trajectory = dict(self.trajectory)
-        if kind == "waypoints":
+        if self.waypoints is not None:
+            _check(self.waypoints, _SEQUENCE, "trajectory.points")
+            rows = tuple(_numbers(row, f"trajectory.points[{i}]")
+                         for i, row in enumerate(self.waypoints))
             try:
-                waypoint_trajectory(trajectory.get("points", ()))
-            except (TypeError, ValueError) as exc:
+                waypoint_trajectory(rows)
+            except ValueError as exc:
                 raise ScenarioError(f"bad waypoints: {exc}") from exc
-            trajectory["points"] = tuple(map(tuple, trajectory["points"]))
-        object.__setattr__(self, "trajectory", trajectory)
+            object.__setattr__(self, "waypoints", rows)
 
 
 # --- dict <-> dataclass plumbing -------------------------------------------
@@ -311,7 +312,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return {
         "params": dataclasses.asdict(sc.params),
         "gains": {ch: dataclasses.asdict(sc.gains[ch]) for ch in CHANNELS},
-        "trajectory": dict(sc.trajectory),
+        "trajectory": ({"type": "helix"} if sc.waypoints is None
+                       else {"type": "waypoints", "points": sc.waypoints}),
         "disturbances": {ch: disturbance_to_dict(sc.disturbances[ch]) for ch in CHANNELS},
         "psi_des": sc.psi_des,
         "initial_state": list(sc.initial_state),
@@ -334,15 +336,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
     trajectory = raw.get("trajectory", {"type": "helix"})
     _checked(trajectory, _tagged(_TRAJECTORY_TAGS, trajectory, "type", "trajectory"),
              "trajectory")
-    for i, row in enumerate(trajectory.get("points", ())):
-        _numbers(row, f"trajectory.points[{i}]")
     return Scenario(
         params=_build(QuadrotorParams, raw.get("params", {}), "params"),
         gains=gains,
-        trajectory=trajectory,
+        waypoints=None if trajectory["type"] == "helix" else trajectory.get("points", ()),
         disturbances=disturbances,
         psi_des=raw.get("psi_des", 0.0),
-        initial_state=_numbers(raw.get("initial_state", (0.0,) * 12), "initial_state"),
+        initial_state=raw.get("initial_state", (0.0,) * 12),
         toggles=_build(Toggles, raw.get("toggles", {}), "toggles"),
         **_checked(raw.get("sim", {}), _SIM, "sim"),
     )

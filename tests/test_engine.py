@@ -39,6 +39,7 @@ from quadtrack import (
     rk4_step,
     run_scenario,
     scenario_from_dict,
+    scenario_to_dict,
     state_derivative,
     write_summary,
     write_trace,
@@ -106,7 +107,7 @@ class TestClosedLoopDerivative:
         sc_on = hover_scenario()
         sc_off = scenario_from_dict({
             **{"toggles": {"position_do": False}},
-            "trajectory": sc_on.trajectory,
+            "trajectory": scenario_to_dict(sc_on)["trajectory"],
             "disturbances": {ch: {"type": "none"} for ch in
                              ("roll", "pitch", "yaw", "x", "y", "z")},
             "initial_state": list(sc_on.initial_state),

@@ -71,6 +71,21 @@ class TestDefaults:
         other = dataclasses.replace(sc, seed=1)
         assert scenario_digest(other) != scenario_digest(sc)
 
+    # The digest hashes JSON only, so these values hold on any platform.
+    @pytest.mark.parametrize("raw, digest", [
+        ({}, "04b0af02fdc7e0e4b7e4cf4c6b4b0081775d59e55b169f9beb1fc7b8f98d71f0"),
+        # quadbench's montecarlo member at seed 0
+        ({"params": {"fixed_residual_speed": 0.0},
+          "trajectory": {"type": "waypoints", "points": [[0.0, 0.0, 0.0, 1.0], [2.0, 1.0, 0.0, 1.5],
+                                                         [4.0, 1.0, 1.0, 2.0]]},
+          "disturbances": {ch: {"type": "noise", "kind": "gaussian", "sigma": 0.05, "hold": 0.05}
+                           for ch in CHANNELS},
+          "sim": {"duration": 0.125, "seed": 0}},
+         "b404b21ff62871c595d2007a581a7e25e5eb20f76498aa2c1e587e532625d4d6"),
+    ], ids=["stock", "montecarlo"])
+    def test_digest_is_pinned(self, raw, digest):
+        assert scenario_digest(scenario_from_dict(raw)) == digest
+
 
 class TestPartialOverrides:
     def test_single_gain_field(self):
@@ -214,10 +229,23 @@ class TestValidationErrors:
         first = np.random.default_rng(3).normal(0.0, math.sqrt(1e-3 / inner_dt), 1)[0]
         assert gen.value(0.0) == gen.value(sc.duration) == first
 
-    @pytest.mark.parametrize("change", [{"dt": 0.02}, {"trajectory": {"type": "parabola"}}])
+    @pytest.mark.parametrize("change", [{"dt": 0.02}, {"waypoints": ((1, 0, 0, 1), (0, 1, 1, 1))}])
     def test_construction_validates(self, change):
         with pytest.raises(ScenarioError):
             dataclasses.replace(Scenario(), **change)
+
+    @pytest.mark.parametrize("name, value", [
+        *(("waypoints", [[0, 0, 0, 1], [1, 0, bad, 1]]) for bad in (True, "0", _HUGE)),
+        ("initial_state", [0.0] * 6 + [True] + [0.0] * 5),
+    ], ids=["row-bool", "row-string", "row-huge", "initial_state-bool"])
+    def test_construction_rejects_what_the_loader_rejects(self, name, value):
+        raw = ({"trajectory": {"type": "waypoints", "points": value}} if name == "waypoints"
+               else {name: value})
+        with pytest.raises(ScenarioError) as loaded:
+            scenario_from_dict(raw)
+        with pytest.raises(ScenarioError) as built:
+            Scenario(**{name: value})
+        assert str(built.value) == str(loaded.value)
 
 
 # A valid instance of each configuration dataclass with number fields and, per
@@ -257,17 +285,12 @@ class TestRangeRule:
     @pytest.mark.parametrize("base, name, bad", _FIELD_CASES,
                              ids=[f"{type(b).__name__}.{n}" for b, n, _ in _FIELD_CASES])
     def test_non_finite_or_out_of_range_names_the_field(self, base, name, bad):
-        for value in (math.nan, math.inf) + (() if bad is None else (bad,)):
+        # True: a bool compares as a number, but the loader rejects it by type.
+        for value in (math.nan, math.inf, True) + (() if bad is None else (bad,)):
             with pytest.raises(ScenarioError) as exc:
                 dataclasses.replace(base, **{name: value})
             assert isinstance(exc.value, ValueError)
             assert str(exc.value) == f"{type(base).__name__}.{name} out of range: {value!r}"
-
-    def test_boolean_noise_seed_is_out_of_range(self):
-        # The loader rejects a JSON boolean by type; direct construction meets the same rule.
-        with pytest.raises(ScenarioError) as exc:
-            SampledNoise(GaussianNoise(0.1), 1.0, seed=True)
-        assert str(exc.value) == "SampledNoise.seed out of range: True"
 
     @pytest.mark.parametrize("raw, message", [
         ({"gains": {"roll": {"p": -1}}}, "bad gains.roll: ChannelGains.p out of range: -1"),
@@ -369,6 +392,17 @@ class TestScenarioOwnsItsTrajectory:
         assert metrics.completed
         assert np.array_equal(log.data, run_scenario(pristine).log.data)
 
+    def test_editing_the_lists_it_was_built_from_changes_neither_digest_nor_run(self):
+        rows, state = [[0, 0, 0, 1], [1, 1, 0, 1]], [0.0] * 12
+        pristine = Scenario(waypoints=copy.deepcopy(rows), initial_state=list(state),
+                            duration=0.05)
+        sc = Scenario(waypoints=rows, initial_state=state, duration=0.05)
+        rows[1][0] = -5.0
+        rows.append([2, 0, 0, 0])
+        state[6] = 3.0
+        assert scenario_digest(sc) == scenario_digest(pristine)
+        assert np.array_equal(run_scenario(sc).log.data, run_scenario(pristine).log.data)
+
 
 class TestFileLoading:
     def test_load_round_trip(self, tmp_path):
@@ -422,6 +456,14 @@ _DISTURBANCES = st.one_of(
     st.tuples(_NOISE_KINDS, _POSITIVE, st.none() | st.integers(0, 2**32)).map(
         lambda k: {"type": "noise", **k[0], "hold": k[1], "seed": k[2]}),
 )
+_COORD = st.integers(-1000, 1000) | _ANY
+# The helix, or 1-4 rows whose times (unique, so strictly increasing once sorted) and
+# positions mix ints and floats.
+_TRAJECTORIES = st.just({"type": "helix"}) | st.tuples(
+    st.lists(_COORD, min_size=1, max_size=4, unique=True),
+    st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=4, max_size=4),
+).map(lambda tp: {"type": "waypoints",
+                  "points": [[t, *p] for t, p in zip(sorted(tp[0]), tp[1])]})
 
 
 @st.composite
@@ -434,7 +476,8 @@ def _valid_overrides(draw):
     sim = {"dt": dt, "duration": draw(st.integers(1, 10**6)) * dt,
            "seed": draw(st.integers(0, 2**32)), "decimation": draw(st.integers(1, 100))}
     disturbances = draw(st.dictionaries(st.sampled_from(_CHANNELS), _DISTURBANCES))
-    return {"params": params, "gains": gains, "sim": sim, "disturbances": disturbances}
+    return {"params": params, "gains": gains, "trajectory": draw(_TRAJECTORIES), "sim": sim,
+            "disturbances": disturbances}
 
 
 def _objects(d):
@@ -455,10 +498,12 @@ def _invalid_overrides(draw):
     raw = copy.deepcopy(draw(_valid_overrides()))  # st.just shares its value between draws
     objects = list(_objects(raw))
     leaves = [(obj, key) for obj in objects for key, value in obj.items()
-              if not isinstance(value, dict)]
+              if not isinstance(value, (dict, list))]
+    leaves += [(row, i) for row in raw["trajectory"].get("points", ()) for i in range(len(row))]
     if draw(st.booleans()):
         obj, key = draw(st.sampled_from(leaves))
-        obj[key] = _WRONG_TYPE[type(obj[key])]
+        # In a waypoint row an int is a number too, so any entry there takes a float's wrong type.
+        obj[key] = _WRONG_TYPE[float if type(obj) is list else type(obj[key])]
     else:
         draw(st.sampled_from(objects))["bogus"] = 0.0
     return raw

@@ -292,6 +292,12 @@ class TestRangeRule:
             assert isinstance(exc.value, ValueError)
             assert str(exc.value) == f"{type(base).__name__}.{name} out of range: {value!r}"
 
+    def test_boolean_noise_seed_is_out_of_range(self):
+        # The loader rejects a JSON boolean by type; direct construction meets the same rule.
+        with pytest.raises(ScenarioError) as exc:
+            SampledNoise(GaussianNoise(0.1), 1.0, seed=True)
+        assert str(exc.value) == "SampledNoise.seed out of range: True"
+
     @pytest.mark.parametrize("raw, message", [
         ({"gains": {"roll": {"p": -1}}}, "bad gains.roll: ChannelGains.p out of range: -1"),
         ({"disturbances": {"y": {"type": "step", "value": 1.0, "onset": -1}}},

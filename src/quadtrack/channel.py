@@ -59,16 +59,16 @@ class ChannelGains:
     def __post_init__(self):
         require_fields(
             self,
-            p=self.p > 0.0,
-            k=self.k > 0.0,
-            lam=self.lam > 0.5,
-            tau=0.0 < self.tau <= 1.0,
-            m1=self.m1 > 0.0,
-            m2=self.m2 > 0.0,
-            beta1=self.beta1 > 0.0,
-            beta2=self.beta2 > 0.0,
+            p=lambda v: v > 0.0,
+            k=lambda v: v > 0.0,
+            lam=lambda v: v > 0.5,
+            tau=lambda v: 0.0 < v <= 1.0,
+            m1=lambda v: v > 0.0,
+            m2=lambda v: v > 0.0,
+            beta1=lambda v: v > 0.0,
+            beta2=lambda v: v > 0.0,
             # The HGO divides by eps * eps, so its square must not underflow to 0.
-            eps=0.0 < self.eps <= 1.0 and self.eps * self.eps > 0.0,
+            eps=lambda v: 0.0 < v <= 1.0 and v * v > 0.0,
         )
 
 

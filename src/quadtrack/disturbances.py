@@ -23,7 +23,7 @@ class Sinusoid:
     phase: float = 0.0
 
     def __post_init__(self):
-        require_fields(self, amplitude=True, omega=True, phase=True)
+        require_fields(self)
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class Step:
     onset: float          # [s]; output is 0 before, value from onset on
 
     def __post_init__(self):
-        require_fields(self, value=True, onset=self.onset >= 0.0)
+        require_fields(self, onset=lambda v: v >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class Ramp:
     hold_after: bool = False  # hold the end value instead of dropping to 0
 
     def __post_init__(self):
-        require_fields(self, offset=True, slope=True, end=self.end >= 0.0)
+        require_fields(self, end=lambda v: v >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        require_fields(self, sigma=self.sigma >= 0.0)
+        require_fields(self, sigma=lambda v: v >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ class UniformNoise:
     high: float
 
     def __post_init__(self):
-        require_fields(self, low=True, high=self.high >= self.low)
+        # high - low scales the draws, so it must not overflow either.
+        require_fields(self, high=lambda v: v >= self.low and math.isfinite(v - self.low))
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,9 @@ class BandLimitedNoise:
     inner_dt: float       # [s]
 
     def __post_init__(self):
-        require_fields(self, power=self.power >= 0.0, inner_dt=self.inner_dt > 0.0)
+        # The white sequence's variance power / inner_dt must not overflow either.
+        require_fields(self, power=lambda v: v >= 0.0,
+                       inner_dt=lambda v: v > 0.0 and math.isfinite(self.power / v))
 
 
 NoiseKind = Union[GaussianNoise, UniformNoise, BandLimitedNoise]
@@ -84,9 +87,7 @@ class SampledNoise:
     seed: Optional[int] = None  # None: derived from the scenario master seed; else int >= 0
 
     def __post_init__(self):
-        require_fields(self, hold=self.hold > 0.0)
-        if self.seed is not None:
-            require_fields(self, seed=self.seed >= 0)
+        require_fields(self, hold=lambda v: v > 0.0, seed=lambda v: v is None or v >= 0)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
-"""Exception types, the one range rule for configuration numbers and the one runtime NaN check."""
+"""Exception types, the one construction rule for configuration fields and the one runtime NaN check."""
 
+import functools
 import math
+import sys
+import typing
 
 
 class SimulationError(Exception):
@@ -12,12 +15,49 @@ class ScenarioError(SimulationError, ValueError):
 
 
 def require_fields(obj, **in_range):
-    """ScenarioError("Class.field out of range: value") for the first field not ok or not finite."""
-    for name, ok in in_range.items():
+    """ScenarioError("Class.field out of range: value") for the first field of obj that fails.
+
+    Each field of the dataclass meets three tests in this order, so a test sees only what
+    the one before it passed: its type, against the field's annotation (exactly, so a bool
+    is no number and a float no int, but a float field admits an int that fits a float, a
+    Tuple field a list, and a Dict or Tuple field has each value checked); that a float is
+    finite; and the range predicate passed for the field by name, if there is one.
+    """
+    for name, (exact, admits) in _schema(type(obj)).items():
         value = getattr(obj, name)
-        # A bool is no number; an int is finite at any size, where math.isfinite would overflow.
-        if type(value) is bool or not (ok and (isinstance(value, int) or math.isfinite(value))):
+        ok = in_range.get(name)
+        if not ((type(value) in exact or admits(value))
+                and (type(value) is not float or math.isfinite(value))
+                and (ok is None or ok(value))):
             raise ScenarioError(f"{type(obj).__name__}.{name} out of range: {value!r}")
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> _admitted(its annotation)."""
+    return {name: _admitted(hint) for name, hint in typing.get_type_hints(cls).items()}
+
+
+def _admitted(hint):
+    """(The types hint admits, a test for the other values it admits)."""
+    members = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+    exact = frozenset(m for m in members if typing.get_origin(m) is None)
+    if float in exact:  # an int is finite at any size, but must fit a float
+        return exact, lambda v: type(v) is int and abs(v) <= sys.float_info.max
+    for m in members:  # Dict[str, X] (Scenario checks the keys) or Tuple[X, ...], also a list
+        if typing.get_origin(m) is dict:
+            entry = _admitted(typing.get_args(m)[1])
+            return exact, lambda v: type(v) is dict and _all_admitted(entry, v.values())
+        if typing.get_origin(m) is tuple:
+            entry = _admitted(typing.get_args(m)[0])
+            return exact, lambda v: type(v) in (tuple, list) and _all_admitted(entry, v)
+    return exact, lambda v: False
+
+
+def _all_admitted(admitted, values) -> bool:
+    exact, admits = admitted  # the set test alone, unless a value needs admits
+    return exact.issuperset(map(type, values)) or all(
+        type(v) in exact or admits(v) for v in values)
 
 
 class NonFiniteError(SimulationError):

@@ -22,18 +22,20 @@ trajectories (reference_trajectory, waypoint_trajectory):
     }
 
 The field annotations of the dataclasses (`QuadrotorParams`, `ChannelGains`,
-`Toggles`, each disturbance and noise kind, and `Scenario`'s sim fields) are
-the schema.  Unknown fields are rejected in every section, disturbances and
-trajectory included.  Types are compared exactly: `true`/`false` are not
-numbers, and a number field accepts an integer (kept as given, so the digest
-does not change) as long as it fits in a float.  A noise disturbance carries
-its kind's fields beside its own.  Each dataclass checks every number field
-against the range beside it, and that it is finite, by one rule when it is
-constructed (errors.require_fields), so `dataclasses.replace` re-validates.
-`Scenario` holds the trajectory as `waypoints`: (t, x, y, z) rows, or None for
-the helix; the `{"type": ...}` tag lives only in the file.  It checks those rows
-and `initial_state` as the loader does and keeps tuple copies, which no caller
-can edit.  It also checks across fields: the duration must be a whole number of
+`Toggles`, each disturbance and noise kind, and `Scenario`) are the schema.
+Each dataclass checks every field by one rule when it is constructed
+(errors.require_fields), so a file, a direct build and `dataclasses.replace`
+meet the same checks, in the same order: the type, then that a number is
+finite, then the range noted beside the field.  Types are compared exactly:
+`true`/`false` are not numbers, a float is no integer, and a number field
+accepts an integer (kept as given, so the digest does not change) as long as
+it fits in a float.  The loader only maps sections onto constructors: it
+rejects unknown tags and unknown fields in every section, disturbances and
+trajectory included.  A noise disturbance carries its kind's fields beside
+its own.  `Scenario` holds the trajectory as `waypoints`: (t, x, y, z) rows,
+or None for the helix; the `{"type": ...}` tag lives only in the file.  It
+keeps tuple copies of the rows and of `initial_state`, which no caller can
+edit.  It also checks across fields: the duration must be a whole number of
 steps of dt, and needs no more than sys.maxsize steps, nor noise draws for any
 channel.  A noise channel draws one value per hold boundary a run can read, the
 last at the duration (band-limited noise its inner sequence up to that boundary),
@@ -41,16 +43,14 @@ as disturbances.noise_draw_size counts.
 """
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
 import sys
-import typing
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,6 +151,9 @@ class Toggles:
     position_do: bool = True            # subtract dhat in the position laws
     true_state_feedback: bool = False   # oracle mode: controller reads true states
 
+    def __post_init__(self):
+        require_fields(self)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -167,14 +170,8 @@ class Scenario:
     toggles: Toggles = field(default_factory=Toggles)
 
     def __post_init__(self):
-        require_fields(
-            self,
-            dt=0.0 < self.dt <= 0.01,
-            duration=self.duration > 0.0,
-            seed=self.seed >= 0,
-            decimation=self.decimation >= 1,
-            psi_des=True,
-        )
+        require_fields(self, dt=lambda v: 0.0 < v <= 0.01, duration=lambda v: v > 0.0,
+                       seed=lambda v: v >= 0, decimation=lambda v: v >= 1)
         steps = self.duration / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > STEP_COUNT_RTOL * steps:
             raise ScenarioError(
@@ -190,7 +187,7 @@ class Scenario:
                            for n in noise_draw_size(s, self.duration))]
         if max(counts) > sys.maxsize:
             raise ScenarioError(f"duration {self.duration} needs {max(counts):.3g} steps or draws")
-        object.__setattr__(self, "initial_state", _numbers(self.initial_state, "initial_state"))
+        object.__setattr__(self, "initial_state", tuple(self.initial_state))
         if len(self.initial_state) != 12:
             raise ScenarioError("initial_state must have 12 entries")
         if not all(math.isfinite(v) for v in self.initial_state):
@@ -198,9 +195,7 @@ class Scenario:
         if abs(self.initial_state[0]) >= ANGLE_LIMIT or abs(self.initial_state[2]) >= ANGLE_LIMIT:
             raise ScenarioError("initial roll/pitch outside the model validity range")
         if self.waypoints is not None:
-            _check(self.waypoints, _SEQUENCE, "trajectory.points")
-            rows = tuple(_numbers(row, f"trajectory.points[{i}]")
-                         for i, row in enumerate(self.waypoints))
+            rows = tuple(map(tuple, self.waypoints))
             try:
                 waypoint_trajectory(rows)
             except ValueError as exc:
@@ -210,12 +205,6 @@ class Scenario:
 
 # --- dict <-> dataclass plumbing -------------------------------------------
 
-_NUMBER = frozenset({int, float})
-_OBJECT = frozenset({dict})
-_SEQUENCE = frozenset({list, tuple})
-_TEXT = frozenset({str})
-_FLOAT_MAX = sys.float_info.max
-
 _DISTURBANCE_TAGS = {"none": NoDisturbance, "sinusoid": Sinusoid, "step": Step,
                      "ramp": Ramp, "noise": SampledNoise}
 _NOISE_KIND_TAGS = {"gaussian": GaussianNoise, "uniform": UniformNoise,
@@ -223,58 +212,28 @@ _NOISE_KIND_TAGS = {"gaussian": GaussianNoise, "uniform": UniformNoise,
 _TAG_OF = {cls: tag for table in (_DISTURBANCE_TAGS, _NOISE_KIND_TAGS)
            for tag, cls in table.items()}
 
-_TRAJECTORY_TAGS = {"helix": {"type": _TEXT}, "waypoints": {"type": _TEXT, "points": _SEQUENCE}}
-_SECTIONS = {"params": _OBJECT, "gains": _OBJECT, "trajectory": _OBJECT,
-             "disturbances": _OBJECT, "psi_des": _NUMBER, "initial_state": _SEQUENCE,
-             "sim": _OBJECT, "toggles": _OBJECT}
-_CHANNEL_SECTION = dict.fromkeys(CHANNELS, _OBJECT)
+_TRAJECTORY_TAGS = {"helix": {"type"}, "waypoints": {"type", "points"}}
+_SECTIONS = {"params", "gains", "trajectory", "disturbances", "psi_des", "initial_state",
+             "sim", "toggles"}
+_SIM = {"dt", "duration", "seed", "decimation"}
 
 
-@functools.cache
-def _schema(cls) -> Dict[str, frozenset]:
-    """Field name -> the exact value types its annotation admits (float also admits int)."""
-    schema = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        members = typing.get_args(hint) if typing.get_origin(hint) is Union else (hint,)
-        schema[name] = frozenset().union(*(_NUMBER if t is float else (t,) for t in members))
-    return schema
-
-
-_SIM = {name: _schema(Scenario)[name] for name in ("dt", "duration", "seed", "decimation")}
-
-
-def _check(value, admitted: frozenset, where: str) -> None:
-    kind = type(value)
-    if kind not in admitted:
-        names = " or ".join(sorted(t.__name__ for t in admitted))
-        raise ScenarioError(f"{where} must be {names}, got {value!r}")
-    if kind is int and float in admitted and abs(value) > _FLOAT_MAX:
-        raise ScenarioError(f"{where} is an integer beyond the float range")
-
-
-def _checked(raw, schema: Dict[str, frozenset], what: str) -> dict:
-    """raw, once it is an object whose fields are all in schema with admitted types."""
+def _object(raw, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{what} must be an object, got {raw!r}")
-    for name, value in raw.items():
-        admitted = schema.get(name)
-        if admitted is None:
-            raise ScenarioError(f"unknown {what} field: {name!r}")
-        if type(value) not in admitted or (type(value) is int and float in admitted):
-            _check(value, admitted, f"{what}.{name}")
     return raw
 
 
-def _numbers(values, what: str) -> tuple:
-    _check(values, _SEQUENCE, what)
-    for i, v in enumerate(values):
-        if type(v) is not float:
-            _check(v, _NUMBER, f"{what}[{i}]")
-    return tuple(values)
+def _checked(raw, names, what: str) -> dict:
+    """raw, once it is an object whose fields are all in names."""
+    for name in _object(raw, what):
+        if name not in names:
+            raise ScenarioError(f"unknown {what} field: {name!r}")
+    return raw
 
 
 def _build(cls, raw, what: str, base=None):
-    fields = _checked(raw, _schema(cls), what)
+    fields = _checked(raw, cls.__dataclass_fields__, what)
     try:
         return cls(**fields) if base is None else dataclasses.replace(base, **fields)
     except (TypeError, ValueError) as exc:
@@ -282,8 +241,8 @@ def _build(cls, raw, what: str, base=None):
 
 
 def _tagged(table: dict, raw, key: str, what: str):
-    """table's entry for the tag raw[key]; raw is already known to be an object."""
-    tag = raw.get(key)
+    """table's entry for the tag raw[key]."""
+    tag = _object(raw, what).get(key)
     if not (type(tag) is str and tag in table):
         raise ScenarioError(f"unknown {what} {key}: {tag!r}")
     return table[tag]
@@ -302,7 +261,8 @@ def disturbance_from_dict(d: dict, what: str) -> DisturbanceSpec:
     fields = {name: value for name, value in d.items() if name != "type"}
     if cls is SampledNoise:
         kind_cls = _tagged(_NOISE_KIND_TAGS, d, "kind", what)
-        kind_fields = {name: fields.pop(name) for name in _schema(kind_cls) if name in fields}
+        kind_fields = {name: fields.pop(name) for name in kind_cls.__dataclass_fields__
+                       if name in fields}
         fields["kind"] = _build(kind_cls, kind_fields, what)
     return _build(cls, fields, what)
 
@@ -327,11 +287,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     """Build a validated Scenario, filling every omitted field with defaults."""
     raw = _checked(raw, _SECTIONS, "scenario")
     gains = _STOCK_GAINS.copy()
-    for ch, overrides in _checked(raw.get("gains", {}), _CHANNEL_SECTION, "gains").items():
+    for ch, overrides in _checked(raw.get("gains", {}), CHANNELS, "gains").items():
         gains[ch] = _build(ChannelGains, overrides, f"gains.{ch}", gains[ch])
     disturbances = _STOCK_DISTURBANCES.copy()
-    for ch, spec in _checked(raw.get("disturbances", {}), _CHANNEL_SECTION,
-                             "disturbances").items():
+    for ch, spec in _checked(raw.get("disturbances", {}), CHANNELS, "disturbances").items():
         disturbances[ch] = disturbance_from_dict(spec, f"disturbances.{ch}")
     trajectory = raw.get("trajectory", {"type": "helix"})
     _checked(trajectory, _tagged(_TRAJECTORY_TAGS, trajectory, "type", "trajectory"),

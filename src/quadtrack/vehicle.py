@@ -82,9 +82,7 @@ class QuadrotorParams:
 
     def __post_init__(self):
         constants = ("g", "m", "l", "b", "d", "Ir", "Ix", "Iy", "Iz")
-        require_fields(self, **{name: getattr(self, name) > 0.0 for name in constants})
-        if self.fixed_residual_speed is not None:
-            require_fields(self, fixed_residual_speed=True)
+        require_fields(self, **dict.fromkeys(constants, lambda v: v > 0.0))
 
     @cached_property
     def _axis_rows(self):

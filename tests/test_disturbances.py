@@ -143,7 +143,7 @@ class TestDrawSize:
     def test_an_overflowing_count_is_inf(self):
         assert noise_draw_size(SampledNoise(GaussianNoise(1.0), hold=5e-324), 1.0) == (
             math.inf, math.inf)
-        tiny = SampledNoise(BandLimitedNoise(power=1.0, inner_dt=5e-324), hold=1e300)
+        tiny = SampledNoise(BandLimitedNoise(power=1e-300, inner_dt=5e-324), hold=1e300)
         assert noise_draw_size(tiny, 1e300) == (2.0, math.inf)
         with pytest.raises(MemoryError):  # as for a size numpy refuses
             make_generator(SampledNoise(GaussianNoise(1.0), hold=5e-324), 0, 1.0)

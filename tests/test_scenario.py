@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
+import re
 import typing
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadtrack
 from quadtrack import (
     CHANNELS,
     BandLimitedNoise,
@@ -32,6 +36,7 @@ from quadtrack import (
     scenario_to_dict,
     waypoint_trajectory,
 )
+from quadtrack.scenario import Toggles
 
 
 class TestDefaults:
@@ -126,6 +131,7 @@ class TestPartialOverrides:
 
 _GAUSSIAN = {"type": "noise", "kind": "gaussian", "sigma": 0.1, "hold": 1.0}
 _HUGE = 10 ** 400  # a JSON integer beyond the float range
+_BOOL_STATE = [0.0] * 6 + [True] + [0.0] * 5
 
 
 class TestValidationErrors:
@@ -211,6 +217,13 @@ class TestValidationErrors:
             {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
                 "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-30,
                 "hold": 0.005}}},
+            # Noise scales that overflow: high - low, and the variance power / inner_dt.
+            {"sim": {"duration": 0.01}, "disturbances": {"pitch": {
+                "type": "noise", "kind": "uniform", "low": -1e308, "high": 1e308,
+                "hold": 0.005}}},
+            {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
+                "type": "noise", "kind": "band_limited", "power": 1e308, "inner_dt": 1e-3,
+                "hold": 0.005}}},
         ],
     )
     def test_rejected(self, raw):
@@ -234,18 +247,43 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError):
             dataclasses.replace(Scenario(), **change)
 
-    @pytest.mark.parametrize("name, value", [
-        *(("waypoints", [[0, 0, 0, 1], [1, 0, bad, 1]]) for bad in (True, "0", _HUGE)),
-        ("initial_state", [0.0] * 6 + [True] + [0.0] * 5),
-    ], ids=["row-bool", "row-string", "row-huge", "initial_state-bool"])
-    def test_construction_rejects_what_the_loader_rejects(self, name, value):
-        raw = ({"trajectory": {"type": "waypoints", "points": value}} if name == "waypoints"
-               else {name: value})
-        with pytest.raises(ScenarioError) as loaded:
-            scenario_from_dict(raw)
+    # cls(**kwargs) fails on the field `name`; raw is the same fault in a file, or None where
+    # a file cannot express it.
+    @pytest.mark.parametrize("cls, kwargs, name, raw", [
+        *((Scenario, {"waypoints": rows}, "waypoints",
+           {"trajectory": {"type": "waypoints", "points": rows}})
+          for rows in ([[0, 0, 0, 1], [1, 0, bad, 1]] for bad in (True, "0", _HUGE))),
+        (Scenario, {"initial_state": _BOOL_STATE}, "initial_state",
+         {"initial_state": _BOOL_STATE}),
+        (Scenario, {"seed": 1.5}, "seed", {"sim": {"seed": 1.5}}),
+        (Scenario, {"decimation": 2.5}, "decimation", {"sim": {"decimation": 2.5}}),
+        (SampledNoise, {"kind": GaussianNoise(0.1), "hold": 1.0, "seed": 1.5}, "seed",
+         {"disturbances": {"roll": {**_GAUSSIAN, "seed": 1.5}}}),
+        (QuadrotorParams, {"m": _HUGE}, "m", {"params": {"m": _HUGE}}),
+        (Toggles, {"position_do": "no"}, "position_do", {"toggles": {"position_do": "no"}}),
+        (Ramp, {"offset": 0.1, "slope": 0.01, "end": 1.0, "hold_after": "no"}, "hold_after",
+         {"disturbances": {"z": {"type": "ramp", "offset": 0.1, "slope": 0.01, "end": 1.0,
+                                 "hold_after": "no"}}}),
+        (SampledNoise, {"kind": "gaussian", "hold": 1.0}, "kind", None),
+        (Scenario, {"params": "p"}, "params", None),
+        (Scenario, {"toggles": None}, "toggles", None),
+        (Scenario, {"gains": {**Scenario().gains, "x": "oops"}}, "gains", None),
+        (Scenario, {"disturbances": {**Scenario().disturbances, "x": "oops"}}, "disturbances",
+         None),
+    ], ids=["row-bool", "row-string", "row-huge", "initial_state-bool", "seed-float",
+            "decimation-float", "noise-seed-float", "params-huge", "toggle-string",
+            "hold_after-string", "noise-kind-tag", "params-string", "toggles-none",
+            "gains-entry", "disturbances-entry"])
+    def test_construction_rejects_what_the_loader_rejects(self, cls, kwargs, name, raw):
         with pytest.raises(ScenarioError) as built:
-            Scenario(**{name: value})
-        assert str(built.value) == str(loaded.value)
+            cls(**kwargs)
+        assert str(built.value) == f"{cls.__name__}.{name} out of range: {kwargs[name]!r}"
+        if raw is not None:
+            with pytest.raises(ScenarioError) as loaded:
+                scenario_from_dict(raw)
+            # The loader prefixes "bad {section}: " where it builds a section's dataclass.
+            assert re.fullmatch(rf"(bad [\w.]+: )?{re.escape(str(built.value))}",
+                                str(loaded.value))
 
 
 # A valid instance of each configuration dataclass with number fields and, per
@@ -267,20 +305,43 @@ _RANGES = [
     (Scenario(duration=1.0),
      {"dt": 0.02, "duration": 0.0, "seed": -1, "decimation": 0, "psi_des": None}),
 ]
-# Number fields checked by hand instead: a check across entries.
-_HAND_CHECKED = {(Scenario, "initial_state")}
+# A valid instance of each configuration dataclass with other fields, and those fields: the
+# rule checks their type, and Scenario checks some of them further by hand.
+_TYPE_ONLY = [
+    (Toggles(), ("position_do", "true_state_feedback")),
+    (Ramp(0.1, 0.01, 1.0), ("hold_after",)),
+    (SampledNoise(GaussianNoise(0.1), hold=1.0), ("kind",)),
+    (Scenario(duration=1.0),
+     ("params", "gains", "waypoints", "disturbances", "initial_state", "toggles")),
+]
 _FIELD_CASES = [(base, name, bad) for base, fields in _RANGES for name, bad in fields.items()]
+_EVERY_FIELD = [(base, name) for base, fields in _RANGES + _TYPE_ONLY for name in fields]
+
+
+def _config_classes():
+    """Every frozen dataclass with fields that a module of the package defines."""
+    modules = [importlib.import_module(f"quadtrack.{info.name}")
+               for info in pkgutil.iter_modules(quadtrack.__path__) if info.name != "__main__"]
+    return {obj for module in modules for obj in vars(module).values()
+            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+            and obj.__dataclass_params__.frozen and dataclasses.fields(obj)}
 
 
 class TestRangeRule:
-    """Every range-checked number field goes through errors.require_fields."""
+    """Every field of every configuration dataclass goes through errors.require_fields."""
 
     def test_table_lists_every_number_field(self):
-        for base, fields in _RANGES:
-            cls = type(base)
-            numbers = {name for name, hint in typing.get_type_hints(cls).items()
-                       if {int, float} & set(typing.get_args(hint) or (hint,))}
-            assert numbers - {name for c, name in _HAND_CHECKED if c is cls} == set(fields)
+        # Every field the rule reads, bool and class fields included, is in one of the tables.
+        assert {(type(base), name) for base, name in _EVERY_FIELD} == {
+            (cls, name) for cls in _config_classes() for name in typing.get_type_hints(cls)}
+
+    @pytest.mark.parametrize("base, name", _EVERY_FIELD,
+                             ids=[f"{type(b).__name__}.{n}" for b, n in _EVERY_FIELD])
+    def test_wrong_type_names_the_field(self, base, name):
+        # A string is no field's type; a range test that compared it would raise TypeError.
+        with pytest.raises(ScenarioError) as exc:
+            dataclasses.replace(base, **{name: "oops"})
+        assert str(exc.value) == f"{type(base).__name__}.{name} out of range: 'oops'"
 
     @pytest.mark.parametrize("base, name, bad", _FIELD_CASES,
                              ids=[f"{type(b).__name__}.{n}" for b, n, _ in _FIELD_CASES])

@@ -36,6 +36,11 @@ from dataclasses import dataclass
 
 from .errors import require_fields
 
+# The range of each gain.  The HGO divides by eps * eps, so its square must not underflow to 0.
+_RANGES = {**dict.fromkeys(("p", "k", "m1", "m2", "beta1", "beta2"), lambda v: v > 0.0),
+           "lam": lambda v: v > 0.5, "tau": lambda v: 0.0 < v <= 1.0,
+           "eps": lambda v: 0.0 < v <= 1.0 and v * v > 0.0}
+
 
 @dataclass(frozen=True)
 class ChannelGains:
@@ -57,19 +62,7 @@ class ChannelGains:
     eps: float = 0.05      # HGO time-scale parameter, in (0, 1]
 
     def __post_init__(self):
-        require_fields(
-            self,
-            p=lambda v: v > 0.0,
-            k=lambda v: v > 0.0,
-            lam=lambda v: v > 0.5,
-            tau=lambda v: 0.0 < v <= 1.0,
-            m1=lambda v: v > 0.0,
-            m2=lambda v: v > 0.0,
-            beta1=lambda v: v > 0.0,
-            beta2=lambda v: v > 0.0,
-            # The HGO divides by eps * eps, so its square must not underflow to 0.
-            eps=lambda v: 0.0 < v <= 1.0 and v * v > 0.0,
-        )
+        require_fields(self, **_RANGES)
 
 
 def command_filter_derivative(z1: float, z2: float, m1: float, m2: float, ref: float):

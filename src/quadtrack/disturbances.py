@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import require_fields
 
+_POSITIVE = lambda v: v > 0.0  # noqa: E731
+_NONNEGATIVE = lambda v: v is None or v >= 0  # noqa: E731
+
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -32,7 +35,7 @@ class Step:
     onset: float          # [s]; output is 0 before, value from onset on
 
     def __post_init__(self):
-        require_fields(self, onset=lambda v: v >= 0.0)
+        require_fields(self, onset=_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class Ramp:
     hold_after: bool = False  # hold the end value instead of dropping to 0
 
     def __post_init__(self):
-        require_fields(self, end=lambda v: v >= 0.0)
+        require_fields(self, end=_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        require_fields(self, sigma=lambda v: v >= 0.0)
+        require_fields(self, sigma=_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class BandLimitedNoise:
 
     def __post_init__(self):
         # The white sequence's variance power / inner_dt must not overflow either.
-        require_fields(self, power=lambda v: v >= 0.0,
+        require_fields(self, power=_NONNEGATIVE,
                        inner_dt=lambda v: v > 0.0 and math.isfinite(self.power / v))
 
 
@@ -87,7 +90,7 @@ class SampledNoise:
     seed: Optional[int] = None  # None: derived from the scenario master seed; else int >= 0
 
     def __post_init__(self):
-        require_fields(self, hold=lambda v: v > 0.0, seed=lambda v: v is None or v >= 0)
+        require_fields(self, hold=_POSITIVE, seed=_NONNEGATIVE)
 
 
 @dataclass(frozen=True)

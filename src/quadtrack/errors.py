@@ -1,4 +1,4 @@
-"""Exception types, the one construction rule for configuration fields and the one runtime NaN check."""
+"""Exception types, the construction rule for configuration fields, and the runtime NaN check."""
 
 import functools
 import math
@@ -20,16 +20,21 @@ def require_fields(obj, **in_range):
     Each field of the dataclass meets three tests in this order, so a test sees only what
     the one before it passed: its type, against the field's annotation (exactly, so a bool
     is no number and a float no int, but a float field admits an int that fits a float, a
-    Tuple field a list, and a Dict or Tuple field has each value checked); that a float is
-    finite; and the range predicate passed for the field by name, if there is one.
+    Tuple field a list, and a Dict or Tuple field has each entry checked); that a float is
+    finite, entries included; and the range predicate passed for the field by name, if
+    there is one.  A bad entry is named by its key or index ("Class.field[1][2]").
     """
-    for name, (exact, admits) in _schema(type(obj)).items():
+    for name, (exact, admits, entries) in _schema(type(obj)).items():
         value = getattr(obj, name)
         ok = in_range.get(name)
         if not ((type(value) in exact or admits(value))
                 and (type(value) is not float or math.isfinite(value))
                 and (ok is None or ok(value))):
-            raise ScenarioError(f"{type(obj).__name__}.{name} out of range: {value!r}")
+            where = f"{type(obj).__name__}.{name}"
+            while entries and (refused := _refused(entries, value)):
+                key, value, entries = refused  # name the entry, not the whole list or table
+                where += f"[{key!r}]"
+            raise ScenarioError(f"{where} out of range: {value!r}")
 
 
 @functools.cache
@@ -39,25 +44,28 @@ def _schema(cls) -> dict:
 
 
 def _admitted(hint):
-    """(The types hint admits, a test for the other values it admits)."""
+    """(The types hint admits, a test for the other values it admits, and for a Dict or
+    Tuple hint the container types it admits with _admitted(the entries), else None)."""
     members = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
     exact = frozenset(m for m in members if typing.get_origin(m) is None)
     if float in exact:  # an int is finite at any size, but must fit a float
-        return exact, lambda v: type(v) is int and abs(v) <= sys.float_info.max
+        return exact, lambda v: type(v) is int and abs(v) <= sys.float_info.max, None
     for m in members:  # Dict[str, X] (Scenario checks the keys) or Tuple[X, ...], also a list
-        if typing.get_origin(m) is dict:
-            entry = _admitted(typing.get_args(m)[1])
-            return exact, lambda v: type(v) is dict and _all_admitted(entry, v.values())
-        if typing.get_origin(m) is tuple:
-            entry = _admitted(typing.get_args(m)[0])
-            return exact, lambda v: type(v) in (tuple, list) and _all_admitted(entry, v)
-    return exact, lambda v: False
+        origin = typing.get_origin(m)
+        if origin in (dict, tuple):
+            entries = ((dict,) if origin is dict else (tuple, list),
+                       _admitted(typing.get_args(m)[1 if origin is dict else 0]))
+            return exact, lambda v: type(v) in entries[0] and not _refused(entries, v), entries
+    return exact, lambda v: False, None
 
 
-def _all_admitted(admitted, values) -> bool:
-    exact, admits = admitted  # the set test alone, unless a value needs admits
-    return exact.issuperset(map(type, values)) or all(
-        type(v) in exact or admits(v) for v in values)
+def _refused(entries, values):
+    """(key, value, its entries) for the first of values that entries refuses, or None."""
+    kinds, (exact, admits, inner) = entries
+    if type(values) in kinds:
+        pairs = values.items() if type(values) is dict else enumerate(values)
+        return next(((k, v, inner) for k, v in pairs if not (type(v) in exact or admits(v))
+                     or type(v) is float and not math.isfinite(v)), None)
 
 
 class NonFiniteError(SimulationError):

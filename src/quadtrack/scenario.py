@@ -23,23 +23,20 @@ trajectories (reference_trajectory, waypoint_trajectory):
 
 The field annotations of the dataclasses (`QuadrotorParams`, `ChannelGains`,
 `Toggles`, each disturbance and noise kind, and `Scenario`) are the schema.
-Each dataclass checks every field by one rule when it is constructed
+Each dataclass checks every field by one rule when it is built
 (errors.require_fields), so a file, a direct build and `dataclasses.replace`
-meet the same checks, in the same order: the type, then that a number is
-finite, then the range noted beside the field.  Types are compared exactly:
-`true`/`false` are not numbers, a float is no integer, and a number field
-accepts an integer (kept as given, so the digest does not change) as long as
-it fits in a float.  The loader only maps sections onto constructors: it
-rejects unknown tags and unknown fields in every section, disturbances and
-trajectory included.  A noise disturbance carries its kind's fields beside
-its own.  `Scenario` holds the trajectory as `waypoints`: (t, x, y, z) rows,
-or None for the helix; the `{"type": ...}` tag lives only in the file.  It
-keeps tuple copies of the rows and of `initial_state`, which no caller can
-edit.  It also checks across fields: the duration must be a whole number of
-steps of dt, and needs no more than sys.maxsize steps, nor noise draws for any
-channel.  A noise channel draws one value per hold boundary a run can read, the
-last at the duration (band-limited noise its inner sequence up to that boundary),
-as disturbances.noise_draw_size counts.
+meet the same checks in the same order: the type, exactly (`true`/`false` are
+no numbers, a float is no integer, and a number field keeps an integer that
+fits a float as given, so the digest does not change), then that every float
+in it is finite, then the range noted beside the field.  The loader only maps
+sections onto constructors, and rejects unknown tags and fields in every
+section; a noise disturbance carries its kind's fields beside its own.
+`Scenario` holds the trajectory as `waypoints`: (t, x, y, z) rows, or None for
+the helix, whose `{"type": ...}` tag lives only in the file.  It keeps tuple
+copies of the rows and of `initial_state`, which no caller can edit, and checks
+across fields: the duration must be a whole number of steps of dt, and needs no
+more than sys.maxsize steps, nor noise draws for any channel, counted as a run
+draws them (disturbances.noise_draw_size).
 """
 
 import dataclasses
@@ -155,6 +152,11 @@ class Toggles:
         require_fields(self)
 
 
+# The fields of the file's sim section, with the range of each.
+_SIM = {"dt": lambda v: 0.0 < v <= 0.01, "duration": lambda v: v > 0.0,
+        "seed": lambda v: v >= 0, "decimation": lambda v: v >= 1}
+
+
 @dataclass(frozen=True)
 class Scenario:
     params: QuadrotorParams = field(default_factory=QuadrotorParams)
@@ -170,8 +172,7 @@ class Scenario:
     toggles: Toggles = field(default_factory=Toggles)
 
     def __post_init__(self):
-        require_fields(self, dt=lambda v: 0.0 < v <= 0.01, duration=lambda v: v > 0.0,
-                       seed=lambda v: v >= 0, decimation=lambda v: v >= 1)
+        require_fields(self, **_SIM)
         steps = self.duration / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > STEP_COUNT_RTOL * steps:
             raise ScenarioError(
@@ -180,9 +181,8 @@ class Scenario:
             raise ScenarioError(f"gains must cover exactly {CHANNELS}")
         if set(self.disturbances) != set(CHANNELS):
             raise ScenarioError(f"disturbances must cover exactly {CHANNELS}")
-        # A run allocates a log row per step.  Per noise channel it draws a value per hold
-        # boundary up to the duration, and band-limited noise its inner sequence up to the last
-        # of them; disturbances.noise_draw_size counts both.
+        # A run allocates a log row per step, and per noise channel the draws noise_draw_size
+        # counts: a value per hold boundary, and band-limited noise its inner sequence.
         counts = [steps, *(n for s in self.disturbances.values() if isinstance(s, SampledNoise)
                            for n in noise_draw_size(s, self.duration))]
         if max(counts) > sys.maxsize:
@@ -190,8 +190,6 @@ class Scenario:
         object.__setattr__(self, "initial_state", tuple(self.initial_state))
         if len(self.initial_state) != 12:
             raise ScenarioError("initial_state must have 12 entries")
-        if not all(math.isfinite(v) for v in self.initial_state):
-            raise ScenarioError("initial_state must be finite numbers")
         if abs(self.initial_state[0]) >= ANGLE_LIMIT or abs(self.initial_state[2]) >= ANGLE_LIMIT:
             raise ScenarioError("initial roll/pitch outside the model validity range")
         if self.waypoints is not None:
@@ -215,7 +213,6 @@ _TAG_OF = {cls: tag for table in (_DISTURBANCE_TAGS, _NOISE_KIND_TAGS)
 _TRAJECTORY_TAGS = {"helix": {"type"}, "waypoints": {"type", "points"}}
 _SECTIONS = {"params", "gains", "trajectory", "disturbances", "psi_des", "initial_state",
              "sim", "toggles"}
-_SIM = {"dt", "duration", "seed", "decimation"}
 
 
 def _object(raw, what: str) -> dict:

@@ -43,6 +43,8 @@ ANGLE_LIMIT = math.pi / 2.0 - 0.05
 # Below this U_z + g value [m/s^2] the attitude extraction is rejected.
 MIN_EXTRACTION_DENOMINATOR = 0.1
 
+_RANGES = dict.fromkeys(("g", "m", "l", "b", "d", "Ir", "Ix", "Iy", "Iz"), lambda v: v > 0.0)
+
 
 class ControlInputs(NamedTuple):
     up: float      # total thrust [N], nonnegative
@@ -81,8 +83,7 @@ class QuadrotorParams:
     fixed_residual_speed: Optional[float] = None
 
     def __post_init__(self):
-        constants = ("g", "m", "l", "b", "d", "Ir", "Ix", "Iy", "Iz")
-        require_fields(self, **dict.fromkeys(constants, lambda v: v > 0.0))
+        require_fields(self, **_RANGES)
 
     @cached_property
     def _axis_rows(self):

@@ -247,43 +247,67 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError):
             dataclasses.replace(Scenario(), **change)
 
-    # cls(**kwargs) fails on the field `name`; raw is the same fault in a file, or None where
-    # a file cannot express it.
-    @pytest.mark.parametrize("cls, kwargs, name, raw", [
-        *((Scenario, {"waypoints": rows}, "waypoints",
+    # cls(**kwargs) fails with message; raw is the same fault in a file, or None where a file
+    # cannot express it.
+    @pytest.mark.parametrize("cls, kwargs, message, raw", [
+        *((Scenario, {"waypoints": rows}, f"Scenario.waypoints[1][2] out of range: {bad!r}",
            {"trajectory": {"type": "waypoints", "points": rows}})
-          for rows in ([[0, 0, 0, 1], [1, 0, bad, 1]] for bad in (True, "0", _HUGE))),
-        (Scenario, {"initial_state": _BOOL_STATE}, "initial_state",
+          for bad, rows in ((bad, [[0, 0, 0, 1], [1, 0, bad, 1]])
+                            for bad in (True, "0", _HUGE, math.inf))),
+        (Scenario, {"initial_state": _BOOL_STATE}, "Scenario.initial_state[6] out of range: True",
          {"initial_state": _BOOL_STATE}),
-        (Scenario, {"seed": 1.5}, "seed", {"sim": {"seed": 1.5}}),
-        (Scenario, {"decimation": 2.5}, "decimation", {"sim": {"decimation": 2.5}}),
-        (SampledNoise, {"kind": GaussianNoise(0.1), "hold": 1.0, "seed": 1.5}, "seed",
+        (Scenario, {"initial_state": [0.0] * 11 + [math.nan]},
+         "Scenario.initial_state[11] out of range: nan", {"initial_state": [0.0] * 11 + [math.nan]}),
+        (Scenario, {"seed": 1.5}, "Scenario.seed out of range: 1.5", {"sim": {"seed": 1.5}}),
+        (Scenario, {"decimation": 2.5}, "Scenario.decimation out of range: 2.5",
+         {"sim": {"decimation": 2.5}}),
+        (SampledNoise, {"kind": GaussianNoise(0.1), "hold": 1.0, "seed": 1.5},
+         "SampledNoise.seed out of range: 1.5",
          {"disturbances": {"roll": {**_GAUSSIAN, "seed": 1.5}}}),
-        (QuadrotorParams, {"m": _HUGE}, "m", {"params": {"m": _HUGE}}),
-        (Toggles, {"position_do": "no"}, "position_do", {"toggles": {"position_do": "no"}}),
-        (Ramp, {"offset": 0.1, "slope": 0.01, "end": 1.0, "hold_after": "no"}, "hold_after",
+        (QuadrotorParams, {"m": _HUGE}, f"QuadrotorParams.m out of range: {_HUGE!r}",
+         {"params": {"m": _HUGE}}),
+        (Toggles, {"position_do": "no"}, "Toggles.position_do out of range: 'no'",
+         {"toggles": {"position_do": "no"}}),
+        (Ramp, {"offset": 0.1, "slope": 0.01, "end": 1.0, "hold_after": "no"},
+         "Ramp.hold_after out of range: 'no'",
          {"disturbances": {"z": {"type": "ramp", "offset": 0.1, "slope": 0.01, "end": 1.0,
                                  "hold_after": "no"}}}),
-        (SampledNoise, {"kind": "gaussian", "hold": 1.0}, "kind", None),
-        (Scenario, {"params": "p"}, "params", None),
-        (Scenario, {"toggles": None}, "toggles", None),
-        (Scenario, {"gains": {**Scenario().gains, "x": "oops"}}, "gains", None),
-        (Scenario, {"disturbances": {**Scenario().disturbances, "x": "oops"}}, "disturbances",
-         None),
-    ], ids=["row-bool", "row-string", "row-huge", "initial_state-bool", "seed-float",
-            "decimation-float", "noise-seed-float", "params-huge", "toggle-string",
-            "hold_after-string", "noise-kind-tag", "params-string", "toggles-none",
-            "gains-entry", "disturbances-entry"])
-    def test_construction_rejects_what_the_loader_rejects(self, cls, kwargs, name, raw):
+        (SampledNoise, {"kind": "gaussian", "hold": 1.0},
+         "SampledNoise.kind out of range: 'gaussian'", None),
+        (Scenario, {"params": "p"}, "Scenario.params out of range: 'p'", None),
+        (Scenario, {"toggles": None}, "Scenario.toggles out of range: None", None),
+        (Scenario, {"gains": {**Scenario().gains, "x": "oops"}},
+         "Scenario.gains['x'] out of range: 'oops'", None),
+        (Scenario, {"disturbances": {**Scenario().disturbances, "x": "oops"}},
+         "Scenario.disturbances['x'] out of range: 'oops'", None),
+    ], ids=["row-bool", "row-string", "row-huge", "row-inf", "initial_state-bool",
+            "initial_state-nan", "seed-float", "decimation-float", "noise-seed-float",
+            "params-huge", "toggle-string", "hold_after-string", "noise-kind-tag",
+            "params-string", "toggles-none", "gains-entry", "disturbances-entry"])
+    def test_construction_rejects_what_the_loader_rejects(self, cls, kwargs, message, raw):
         with pytest.raises(ScenarioError) as built:
             cls(**kwargs)
-        assert str(built.value) == f"{cls.__name__}.{name} out of range: {kwargs[name]!r}"
+        assert str(built.value) == message
         if raw is not None:
             with pytest.raises(ScenarioError) as loaded:
                 scenario_from_dict(raw)
             # The loader prefixes "bad {section}: " where it builds a section's dataclass.
-            assert re.fullmatch(rf"(bad [\w.]+: )?{re.escape(str(built.value))}",
-                                str(loaded.value))
+            prefix = "" if cls is Scenario else r"bad [\w.]+: "
+            assert re.fullmatch(prefix + re.escape(message), str(loaded.value))
+
+    def test_a_bad_entry_in_a_long_list_is_named_alone(self):
+        # The message names the one entry, whatever the length of the list around it.
+        rows = [[t, 0.0, 0.0, 1.0] for t in range(5000)]
+        rows[3210][2] = True
+        message = "Scenario.waypoints[3210][2] out of range: True"
+        with pytest.raises(ScenarioError) as built:
+            Scenario(waypoints=rows)
+        with pytest.raises(ScenarioError) as loaded:
+            scenario_from_dict({"trajectory": {"type": "waypoints", "points": rows}})
+        assert str(built.value) == str(loaded.value) == message
+        rows[3210] = "row"
+        with pytest.raises(ScenarioError, match=re.escape("waypoints[3210] out of range: 'row'")):
+            Scenario(waypoints=rows)
 
 
 # A valid instance of each configuration dataclass with number fields and, per
@@ -332,8 +356,15 @@ class TestRangeRule:
 
     def test_table_lists_every_number_field(self):
         # Every field the rule reads, bool and class fields included, is in one of the tables.
+        hints = {cls: typing.get_type_hints(cls) for cls in _config_classes()}
         assert {(type(base), name) for base, name in _EVERY_FIELD} == {
-            (cls, name) for cls in _config_classes() for name in typing.get_type_hints(cls)}
+            (cls, name) for cls in hints for name in hints[cls]}
+        # Every number field but the hand-checked initial_state is in _RANGES, so
+        # test_non_finite_or_out_of_range_names_the_field tries NaN, inf and True on it.
+        numbers = {(cls, name) for cls in hints for name, hint in hints[cls].items()
+                   if {int, float} & set(typing.get_args(hint) or (hint,))}
+        assert numbers - {(Scenario, "initial_state")} == {
+            (type(base), name) for base, fields in _RANGES for name in fields}
 
     @pytest.mark.parametrize("base, name", _EVERY_FIELD,
                              ids=[f"{type(b).__name__}.{n}" for b, n in _EVERY_FIELD])

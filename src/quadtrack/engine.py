@@ -120,8 +120,8 @@ class ClosedLoop:
         self.clamp_events = 0  # evaluations (all RK4 stages) whose applied mix clamped
         self.params = scenario.params
         self._psi_des = scenario.psi_des
-        self._tsf = scenario.toggles.true_state_feedback
-        self._position_do = scenario.toggles.position_do
+        self._tsf = scenario.true_state_feedback
+        self._position_do = scenario.position_do
         # Per-rig constant tables in CHANNELS order (see the module docstring).
         fronts, laws, observers = [], [], []
         for i, ch in enumerate(CHANNELS):

@@ -22,21 +22,21 @@ trajectories (reference_trajectory, waypoint_trajectory):
     }
 
 The field annotations of the dataclasses (`QuadrotorParams`, `ChannelGains`,
-`Toggles`, each disturbance and noise kind, and `Scenario`) are the schema.
-Each dataclass checks every field by one rule when it is built
-(errors.require_fields), so a file, a direct build and `dataclasses.replace`
-meet the same checks in the same order: the type, exactly (`true`/`false` are
-no numbers, a float is no integer, and a number field keeps an integer that
-fits a float as given, so the digest does not change), then that every float
-in it is finite, then the range noted beside the field.  The loader only maps
-sections onto constructors, and rejects unknown tags and fields in every
-section; a noise disturbance carries its kind's fields beside its own.
-`Scenario` holds the trajectory as `waypoints`: (t, x, y, z) rows, or None for
-the helix, whose `{"type": ...}` tag lives only in the file.  It keeps tuple
-copies of the rows and of `initial_state`, which no caller can edit, and checks
-across fields: the duration must be a whole number of steps of dt, and needs no
-more than sys.maxsize steps, nor noise draws for any channel, counted as a run
-draws them (disturbances.noise_draw_size).
+each disturbance and noise kind, and `Scenario`, whose own fields the `sim` and
+`toggles` sections set) are the schema.  Each dataclass checks every field by
+one rule when it is built (errors.require_fields), so a file, a direct build and
+`dataclasses.replace` meet the same checks in the same order: the type, exactly
+(`true`/`false` are no numbers, a float is no integer, and a number field keeps
+an integer that fits a float as given, so the digest does not change), then
+that every float in it is finite, then the range noted beside the field.  The
+loader only maps sections onto constructors, and rejects unknown tags and
+fields in every section; a noise disturbance carries its kind's fields beside
+its own.  `Scenario` holds the trajectory as `waypoints`: (t, x, y, z) rows, or
+None for the helix, whose `{"type": ...}` tag lives only in the file.  It keeps
+tuple copies of the rows and of `initial_state`, which no caller can edit, and
+checks across fields: the duration must be a whole number of steps of dt, and
+needs no more than sys.maxsize steps, nor noise draws for any channel, counted
+as a run draws them (disturbances.noise_draw_size).
 """
 
 import dataclasses
@@ -143,18 +143,10 @@ def waypoint_trajectory(points: Sequence[Sequence[float]]):
     return trajectory
 
 
-@dataclass(frozen=True)
-class Toggles:
-    position_do: bool = True            # subtract dhat in the position laws
-    true_state_feedback: bool = False   # oracle mode: controller reads true states
-
-    def __post_init__(self):
-        require_fields(self)
-
-
-# The fields of the file's sim section, with the range of each.
+# The fields of the file's sim section, with the range of each, and of its toggles section.
 _SIM = {"dt": lambda v: 0.0 < v <= 0.01, "duration": lambda v: v > 0.0,
         "seed": lambda v: v >= 0, "decimation": lambda v: v >= 1}
+_TOGGLES = ("position_do", "true_state_feedback")
 
 
 @dataclass(frozen=True)
@@ -169,7 +161,8 @@ class Scenario:
     duration: float = 120.0       # [s], > 0 and a whole number of steps of dt
     seed: int = 0                 # master seed, >= 0
     decimation: int = 10          # the trace file keeps every decimation-th row, >= 1
-    toggles: Toggles = field(default_factory=Toggles)
+    position_do: bool = True      # subtract dhat in the position laws
+    true_state_feedback: bool = False  # oracle mode: controller reads true states
 
     def __post_init__(self):
         require_fields(self, **_SIM)
@@ -274,9 +267,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "disturbances": {ch: disturbance_to_dict(sc.disturbances[ch]) for ch in CHANNELS},
         "psi_des": sc.psi_des,
         "initial_state": list(sc.initial_state),
-        "sim": {"dt": sc.dt, "duration": sc.duration, "seed": sc.seed,
-                "decimation": sc.decimation},
-        "toggles": dataclasses.asdict(sc.toggles),
+        "sim": {name: getattr(sc, name) for name in _SIM},
+        "toggles": {name: getattr(sc, name) for name in _TOGGLES},
     }
 
 
@@ -299,8 +291,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         disturbances=disturbances,
         psi_des=raw.get("psi_des", 0.0),
         initial_state=raw.get("initial_state", (0.0,) * 12),
-        toggles=_build(Toggles, raw.get("toggles", {}), "toggles"),
         **_checked(raw.get("sim", {}), _SIM, "sim"),
+        **_checked(raw.get("toggles", {}), _TOGGLES, "toggles"),
     )
 
 

@@ -130,8 +130,7 @@ class TestClosedLoopDerivative:
         """Stock loops with estimated and with true-state feedback, and a random
         state whose HGO estimates equal the true outputs and rates."""
         sc = dataclasses.replace(Scenario(), duration=0.2)
-        oracle = dataclasses.replace(
-            sc, toggles=dataclasses.replace(sc.toggles, true_state_feedback=True))
+        oracle = dataclasses.replace(sc, true_state_feedback=True)
         rng = np.random.default_rng(5)
         a = ClosedLoop(sc).initial_state()
         a += rng.normal(0.0, 0.05, a.shape)
@@ -224,7 +223,7 @@ class TestObserverRows:
         sc = dataclasses.replace(
             stock, duration=1.0,
             params=dataclasses.replace(stock.params, fixed_residual_speed=pinned),
-            toggles=dataclasses.replace(stock.toggles, true_state_feedback=oracle))
+            true_state_feedback=oracle)
         loop, params = ClosedLoop(sc), sc.params
         col = {name: i for i, name in enumerate(COLUMNS)}
         rng = np.random.default_rng(17)

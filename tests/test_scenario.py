@@ -36,7 +36,6 @@ from quadtrack import (
     scenario_to_dict,
     waypoint_trajectory,
 )
-from quadtrack.scenario import Toggles
 
 
 class TestDefaults:
@@ -266,7 +265,7 @@ class TestValidationErrors:
          {"disturbances": {"roll": {**_GAUSSIAN, "seed": 1.5}}}),
         (QuadrotorParams, {"m": _HUGE}, f"QuadrotorParams.m out of range: {_HUGE!r}",
          {"params": {"m": _HUGE}}),
-        (Toggles, {"position_do": "no"}, "Toggles.position_do out of range: 'no'",
+        (Scenario, {"position_do": "no"}, "Scenario.position_do out of range: 'no'",
          {"toggles": {"position_do": "no"}}),
         (Ramp, {"offset": 0.1, "slope": 0.01, "end": 1.0, "hold_after": "no"},
          "Ramp.hold_after out of range: 'no'",
@@ -275,7 +274,9 @@ class TestValidationErrors:
         (SampledNoise, {"kind": "gaussian", "hold": 1.0},
          "SampledNoise.kind out of range: 'gaussian'", None),
         (Scenario, {"params": "p"}, "Scenario.params out of range: 'p'", None),
-        (Scenario, {"toggles": None}, "Scenario.toggles out of range: None", None),
+        (Scenario, {"true_state_feedback": None},
+         "Scenario.true_state_feedback out of range: None",
+         {"toggles": {"true_state_feedback": None}}),
         (Scenario, {"gains": {**Scenario().gains, "x": "oops"}},
          "Scenario.gains['x'] out of range: 'oops'", None),
         (Scenario, {"disturbances": {**Scenario().disturbances, "x": "oops"}},
@@ -332,11 +333,11 @@ _RANGES = [
 # A valid instance of each configuration dataclass with other fields, and those fields: the
 # rule checks their type, and Scenario checks some of them further by hand.
 _TYPE_ONLY = [
-    (Toggles(), ("position_do", "true_state_feedback")),
     (Ramp(0.1, 0.01, 1.0), ("hold_after",)),
     (SampledNoise(GaussianNoise(0.1), hold=1.0), ("kind",)),
     (Scenario(duration=1.0),
-     ("params", "gains", "waypoints", "disturbances", "initial_state", "toggles")),
+     ("params", "gains", "waypoints", "disturbances", "initial_state", "position_do",
+      "true_state_feedback")),
 ]
 _FIELD_CASES = [(base, name, bad) for base, fields in _RANGES for name, bad in fields.items()]
 _EVERY_FIELD = [(base, name) for base, fields in _RANGES + _TYPE_ONLY for name in fields]

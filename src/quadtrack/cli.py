@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run one scenario per value of a varied parameter")
     sweep.add_argument("--scenario", required=True)
-    sweep.add_argument("--vary", required=True, metavar="PATH=V1,V2,...",
+    sweep.add_argument("--vary", required=True, action="append", metavar="PATH=V1,V2,...",
                        help="dotted scenario path and comma-separated values, "
                             "e.g. gains.roll.k=100,120,140")
     sweep.add_argument("--out", required=True)
@@ -116,7 +116,7 @@ def _set_path(d: dict, keys, value):
 def _sweep_command(args) -> int:
     try:
         base = scenario_to_dict(load_scenario(args.scenario))
-        keys, values = _parse_vary(args.vary)
+        keys, values = _parse_vary(args.vary[0])
         names = ["_".join(keys) + f"_{value}" for value in values]
         shared = sorted({name for name in names if names.count(name) > 1})
         if shared:
@@ -161,7 +161,7 @@ def _sweep_command(args) -> int:
             status = EXIT_GUARD
     try:
         (out_root / "sweep.json").write_text(json.dumps(
-            {"vary": args.vary, "runs": index}, indent=2) + "\n")
+            {"vary": args.vary[0], "runs": index}, indent=2) + "\n")
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -173,6 +173,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sweep" and args.jobs < 1:
         parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    if args.command == "sweep" and len(args.vary) > 1:
+        parser.error(f"argument --vary: given {len(args.vary)} times; a sweep varies one path")
     if args.command == "run":
         return _run_command(args)
     return _sweep_command(args)

@@ -57,6 +57,23 @@ class TestRun:
         assert summary["scenario"]["sim"]["duration"] == 0.1
         assert summary["seed"] == 9
 
+    def test_dt_duration_and_seed_overrides(self, tmp_path, short_scenario):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(short_scenario), "--out", str(out),
+                     "--dt", "0.002", "--duration", "0.01", "--seed", "3"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["seed"] == 3
+        assert summary["scenario"]["sim"] == {"dt": 0.002, "duration": 0.01, "seed": 3,
+                                              "decimation": 10}
+
+    def test_overrides_off_the_step_rule_exit_2(self, tmp_path, short_scenario, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(short_scenario), "--out", str(out),
+                     "--duration", "0.01", "--dt", "0.003"]) == 2
+        assert capsys.readouterr().err == (
+            "scenario error: duration 0.01 is not a whole number of steps of dt 0.003\n")
+        assert not out.exists()
+
     def test_invalid_scenario_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"sim": {"dt": -1.0}}))
@@ -112,6 +129,7 @@ class TestSweep:
                      "--vary", "gains.roll.k=100,140", "--out", str(out)])
         assert code == 0
         index = json.loads((out / "sweep.json").read_text())
+        assert index["vary"] == "gains.roll.k=100,140"
         assert [run["value"] for run in index["runs"]] == [100, 140]
         for run, k in zip(index["runs"], (100, 140)):
             summary = json.loads((pathlib.Path(run["out"]) / "summary.json").read_text())
@@ -167,6 +185,17 @@ class TestSweep:
     def test_sweep_bad_vary_exits_2(self, tmp_path, short_scenario):
         assert main(["sweep", "--scenario", str(short_scenario),
                      "--vary", "gains.roll.k", "--out", str(tmp_path / "s")]) == 2
+
+    # Each --vary once replaced the one before it, so the sweep ran only the last.
+    @pytest.mark.parametrize("first, second", [("sim.seed=5", "sim.duration=0.01"),
+                                               ("sim.duration=0.01", "sim.seed=5")])
+    def test_sweep_repeated_vary_exits_2(self, tmp_path, short_scenario, capsys, first, second):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", str(short_scenario), "--vary", first, "--vary", second,
+                  "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert "argument --vary: given 2 times" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_invalid_value_exits_2(self, tmp_path, short_scenario):
         assert main(["sweep", "--scenario", str(short_scenario),

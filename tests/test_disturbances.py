@@ -21,7 +21,8 @@ from quadtrack import (
     noise_draw_size,
     scenario_from_dict,
 )
-from quadtrack import engine
+from quadtrack import disturbances, engine
+from quadtrack.scenario import STEP_COUNT_RTOL
 
 
 class TestAnalyticShapes:
@@ -139,6 +140,11 @@ class TestDrawSize:
         # A hold past the horizon draws one value, not an inner sequence out to the next boundary.
         long_hold = SampledNoise(BandLimitedNoise(power=1.0, inner_dt=1e-6), hold=1000.0)
         assert noise_draw_size(long_hold, 0.001) == (1.0, 1.0)
+
+    def test_horizon_slack_is_twice_the_step_rule(self):
+        # The slack covers the stage times the scenario's step rule admits; the two modules
+        # cannot import each other, so this ties the constants.
+        assert disturbances._HORIZON_SLACK == 2 * STEP_COUNT_RTOL
 
     def test_an_overflowing_count_is_inf(self):
         assert noise_draw_size(SampledNoise(GaussianNoise(1.0), hold=5e-324), 1.0) == (

@@ -143,7 +143,7 @@ def waypoint_trajectory(points: Sequence[Sequence[float]]):
     return trajectory
 
 
-# The fields of the file's sim section, with the range of each, and of its toggles section.
+# The Scenario fields the file's sim section sets, with the range of each, and those of toggles.
 _SIM = {"dt": lambda v: 0.0 < v <= 0.01, "duration": lambda v: v > 0.0,
         "seed": lambda v: v >= 0, "decimation": lambda v: v >= 1}
 _TOGGLES = ("position_do", "true_state_feedback")

@@ -116,10 +116,6 @@ def observe_sweep() -> dict:
                        for path in sorted(out.rglob("*")) if path.is_file()}}
 
 
-def _versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
-
-
 def _recorded() -> dict:
     return json.loads(RECORDING.read_text())
 
@@ -174,9 +170,8 @@ def record():
             sweep = observe_sweep()
         finally:
             os.chdir(here)
-    RECORDING.parent.mkdir(exist_ok=True)
-    RECORDING.write_text(json.dumps({**_versions(), "modes": modes, "sweep": sweep},
-                                    indent=2) + "\n")
+    RECORDING.write_text(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
+                                     "modes": modes, "sweep": sweep}, indent=2) + "\n")
     print(f"recorded {len(modes)} modes and the sweep into {RECORDING}", file=sys.stderr)
 
 

@@ -60,7 +60,7 @@ MODES = {
     # A 100 m dive asks for less than free fall at t = 0.
     "free_fall_abort": {"trajectory": {"type": "waypoints", "points": [[0.0, 0.0, 0.0, -100.0]]},
                         "sim": {"duration": 1.0}},
-    # The roll HGO overflows, which oracle feedback would hand to math.sin.
+    # The roll HGO overflows; under oracle feedback the whole-state check stops the run.
     "eps_oracle_abort": {"toggles": {"true_state_feedback": True},
                          "gains": {"roll": {"eps": 1e-100}},
                          "initial_state": [0.1] + [0.0] * 11, "sim": {"duration": 0.01}},

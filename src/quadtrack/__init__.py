@@ -60,9 +60,7 @@ from .scenario import (
     waypoint_trajectory,
 )
 from .vehicle import (
-    ControlInputs,
     QuadrotorParams,
-    RotorSpeeds,
     acceleration_from_attitude,
     attitude_coupling,
     attitude_input_gain,

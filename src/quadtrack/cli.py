@@ -178,7 +178,3 @@ def main(argv=None) -> int:
     if args.command == "run":
         return _run_command(args)
     return _sweep_command(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,14 +15,14 @@ One derivative evaluation walks the cascade in this order:
        model at their estimates, DOs at feedback (evaluated twice only under oracle)
 
 The torque laws need the residual propeller speed, which depends on the
-rotor speeds mixed from those same torques.  When the speed is pinned
-(fixed_residual_speed) one torque-and-mix pass uses it.  Otherwise the loop
-is closed with two passes: the first with zero residual speed, the second
-with the speed the first pass mixed.  Two passes stop short of the fixed
-point: over the first 10 s of the stock mission a third pass would move the
-roll torque by up to 2.1e-9 (1.0e-6 relative), the pitch torque by up to
-4.6e-8 (1.2e-5 relative) and the residual speed by 7.9e-8 rad/s (yaw has no
-gyroscopic term).  The derivative stays a pure function of (t, state).
+rotor speeds mixed from those same torques.  When Scenario.fixed_residual_speed
+pins the speed, one torque-and-mix pass uses it.  Otherwise the loop is closed
+with two passes: the first with zero residual speed, the second with the speed
+the first pass mixed.  Two passes stop short of the fixed point: over the first
+10 s of the stock mission a third pass would move the roll torque by up to
+2.1e-9 (1.0e-6 relative), the pitch torque by up to 4.6e-8 (1.2e-5 relative)
+and the residual speed by 7.9e-8 rad/s (yaw has no gyroscopic term).  The
+derivative stays a pure function of (t, state).
 
 Augmented state layout (48 entries): plant states 0..11, then one rig per
 channel in the order roll, pitch, yaw, x, y, z.
@@ -78,7 +78,6 @@ from .scenario import (
 from .traceformat import format_rows
 from .vehicle import (
     ANGLE_LIMIT,
-    ControlInputs,
     acceleration_from_attitude,
     attitude_coupling,
     attitude_input_gain,
@@ -122,6 +121,7 @@ class ClosedLoop:
         self._psi_des = scenario.psi_des
         self._tsf = scenario.true_state_feedback
         self._position_do = scenario.position_do
+        self._fixed_residual_speed = scenario.fixed_residual_speed
         # Per-rig constant tables in CHANNELS order (see the module docstring).
         fronts, laws, observers = [], [], []
         for i, ch in enumerate(CHANNELS):
@@ -226,10 +226,10 @@ class ClosedLoop:
         f2 = front(rig2, st, psi_des)
 
         rates = (f0[6], f1[6], f2[6])
-        fixed = params.fixed_residual_speed
+        fixed = self._fixed_residual_speed
         omega_r = 0.0 if fixed is None else fixed
         for _ in range(1 if fixed is not None else 2):
-            u = ControlInputs(
+            u = (
                 up,
                 attitude_torque("roll", params, k0, f0[3], f0[4], f0[2], rates, omega_r,
                                 f0[1], f0[5]),

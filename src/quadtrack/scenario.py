@@ -23,20 +23,22 @@ trajectories (reference_trajectory, waypoint_trajectory):
 
 The field annotations of the dataclasses (`QuadrotorParams`, `ChannelGains`,
 each disturbance and noise kind, and `Scenario`, whose own fields the `sim` and
-`toggles` sections set) are the schema.  Each dataclass checks every field by
-one rule when it is built (errors.require_fields), so a file, a direct build and
-`dataclasses.replace` meet the same checks in the same order: the type, exactly
-(`true`/`false` are no numbers, a float is no integer, and a number field keeps
-an integer that fits a float as given, so the digest does not change), then
-that every float in it is finite, then the range noted beside the field.  The
-loader only maps sections onto constructors, and rejects unknown tags and
-fields in every section; a noise disturbance carries its kind's fields beside
-its own.  `Scenario` holds the trajectory as `waypoints`: (t, x, y, z) rows, or
-None for the helix, whose `{"type": ...}` tag lives only in the file.  It keeps
-tuple copies of the rows and of `initial_state`, which no caller can edit, and
-checks across fields: the duration must be a whole number of steps of dt, and
-needs no more than sys.maxsize steps, nor noise draws for any channel, counted
-as a run draws them (disturbances.noise_draw_size).
+`toggles` sections set) are the schema; the `params` section maps onto
+`QuadrotorParams` plus one `Scenario` field, `fixed_residual_speed`.  Each
+dataclass checks every field by one rule when it is built
+(errors.require_fields), so a file, a direct build and `dataclasses.replace`
+meet the same checks in the same order: the type, exactly (`true`/`false` are no
+numbers, a float is no integer, and a number field keeps an integer that fits a
+float as given, so the digest does not change), then that every float in it is
+finite, then the range noted beside the field.  The loader only maps sections
+onto constructors, and rejects unknown tags and fields in every section; a noise
+disturbance carries its kind's fields beside its own.  `Scenario` holds the
+trajectory as `waypoints`: (t, x, y, z) rows, or None for the helix, whose
+`{"type": ...}` tag lives only in the file.  It keeps tuple copies of the rows
+and of `initial_state`, which no caller can edit, and checks across fields: the
+duration must be a whole number of steps of dt, and needs no more than
+sys.maxsize steps, nor noise draws for any channel, counted as a run draws them
+(disturbances.noise_draw_size).
 """
 
 import dataclasses
@@ -163,6 +165,9 @@ class Scenario:
     decimation: int = 10          # the trace file keeps every decimation-th row, >= 1
     position_do: bool = True      # subtract dhat in the position laws
     true_state_feedback: bool = False  # oracle mode: controller reads true states
+    # None: residual propeller speed is computed from the rotor speeds with
+    # the alternating-sign convention.  A float pins it to that constant.
+    fixed_residual_speed: Optional[float] = None
 
     def __post_init__(self):
         require_fields(self, **_SIM)
@@ -260,7 +265,8 @@ def disturbance_from_dict(d: dict, what: str) -> DisturbanceSpec:
 def scenario_to_dict(sc: Scenario) -> dict:
     """Fully resolved configuration (all defaults expanded), JSON-ready."""
     return {
-        "params": dataclasses.asdict(sc.params),
+        "params": {**dataclasses.asdict(sc.params),
+                   "fixed_residual_speed": sc.fixed_residual_speed},
         "gains": {ch: dataclasses.asdict(sc.gains[ch]) for ch in CHANNELS},
         "trajectory": ({"type": "helix"} if sc.waypoints is None
                        else {"type": "waypoints", "points": sc.waypoints}),
@@ -284,8 +290,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     trajectory = raw.get("trajectory", {"type": "helix"})
     _checked(trajectory, _tagged(_TRAJECTORY_TAGS, trajectory, "type", "trajectory"),
              "trajectory")
+    params = dict(_object(raw.get("params", {}), "params"))
+    fixed_residual_speed = params.pop("fixed_residual_speed", None)
     return Scenario(
-        params=_build(QuadrotorParams, raw.get("params", {}), "params"),
+        params=_build(QuadrotorParams, params, "params"),
         gains=gains,
         waypoints=None if trajectory["type"] == "helix" else trajectory.get("points", ()),
         disturbances=disturbances,
@@ -293,6 +301,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         initial_state=raw.get("initial_state", (0.0,) * 12),
         **_checked(raw.get("sim", {}), _SIM, "sim"),
         **_checked(raw.get("toggles", {}), _TOGGLES, "toggles"),
+        fixed_residual_speed=fixed_residual_speed,
     )
 
 

@@ -16,11 +16,12 @@ row is a model function plus the disturbance, and the torque law and both
 observers use the same functions.  The rotational rows read one row per axis,
 built once per QuadrotorParams, at the (roll, pitch, yaw) rate triple.
 
-Inputs are the total thrust U_p [N], force-like roll/pitch inputs U_phi and
-U_theta (they enter the angular accelerations scaled by arm_length/inertia),
-and the yaw torque U_psi [N m].  The mixing convention is a cross
-configuration with rotors 2/4 driving roll, rotors 1/3 driving pitch, and
-alternating spin directions driving yaw:
+Inputs are plain 4-sequences (U_p, U_phi, U_theta, U_psi): the total thrust
+U_p [N], force-like roll/pitch inputs U_phi and U_theta (they enter the angular
+accelerations scaled by arm_length/inertia), and the yaw torque U_psi [N m].
+The mixer returns the rotor speeds (w1, w2, w3, w4) [rad/s].  The mixing
+convention is a cross configuration with rotors 2/4 driving roll, rotors 1/3
+driving pitch, and alternating spin directions driving yaw:
 
     U_p     = b (w1^2 + w2^2 + w3^2 + w4^2)
     U_phi   = b (w4^2 - w2^2)
@@ -31,7 +32,7 @@ alternating spin directions driving yaw:
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -46,22 +47,8 @@ MIN_EXTRACTION_DENOMINATOR = 0.1
 _RANGES = dict.fromkeys(("g", "m", "l", "b", "d", "Ir", "Ix", "Iy", "Iz"), lambda v: v > 0.0)
 
 
-class ControlInputs(NamedTuple):
-    up: float      # total thrust [N], nonnegative
-    uphi: float    # roll input [N]
-    utheta: float  # pitch input [N]
-    upsi: float    # yaw torque [N m]
-
-
-class RotorSpeeds(NamedTuple):
-    w1: float
-    w2: float
-    w3: float
-    w4: float
-
-
 class MixResult(NamedTuple):
-    speeds: RotorSpeeds
+    speeds: Tuple[float, float, float, float]  # (w1, w2, w3, w4) [rad/s]
     clamped: bool  # True when a negative squared speed had to be zeroed
 
 
@@ -78,9 +65,6 @@ class QuadrotorParams:
     Ix: float = 7.5e-3       # airframe inertia, roll [kg m^2]
     Iy: float = 7.5e-3       # airframe inertia, pitch [kg m^2]
     Iz: float = 1.3e-3       # airframe inertia, yaw [kg m^2]
-    # None: residual propeller speed is computed from the rotor speeds with
-    # the alternating-sign convention.  A float pins it to that constant.
-    fixed_residual_speed: Optional[float] = None
 
     def __post_init__(self):
         require_fields(self, **_RANGES)
@@ -156,7 +140,7 @@ def extract_thrust_and_attitude(
 def state_derivative(
     params: QuadrotorParams,
     state: Sequence[float],
-    inputs: ControlInputs,
+    inputs: Sequence[float],
     omega_r: float,
     disturbance: Sequence[float] = (0.0,) * 6,
 ) -> np.ndarray:
@@ -199,7 +183,7 @@ def state_derivative(
     )
 
 
-def mix_inputs_to_rotor_speeds(params: QuadrotorParams, u: ControlInputs) -> MixResult:
+def mix_inputs_to_rotor_speeds(params: QuadrotorParams, u: Sequence[float]) -> MixResult:
     """Invert the mixing for the squared speeds, clamping negatives to zero.
 
     The clamp is saturation, not an error: the result is flagged so callers
@@ -222,10 +206,10 @@ def mix_inputs_to_rotor_speeds(params: QuadrotorParams, u: ControlInputs) -> Mix
     clamped = s1 < 0.0 or s2 < 0.0 or s3 < 0.0 or s4 < 0.0
     if clamped:
         s1, s2, s3, s4 = (0.0 if sq < 0.0 else sq for sq in (s1, s2, s3, s4))
-    speeds = RotorSpeeds(math.sqrt(s1), math.sqrt(s2), math.sqrt(s3), math.sqrt(s4))
-    return MixResult(speeds, clamped)
+    return MixResult((math.sqrt(s1), math.sqrt(s2), math.sqrt(s3), math.sqrt(s4)), clamped)
 
 
-def residual_speed(w: RotorSpeeds) -> float:
-    """Residual propeller speed: the alternating-sign sum of the rotor speeds."""
-    return -w.w1 + w.w2 - w.w3 + w.w4
+def residual_speed(w: Sequence[float]) -> float:
+    """Residual propeller speed: the alternating-sign sum of the rotor speeds (w1, w2, w3, w4)."""
+    w1, w2, w3, w4 = w
+    return -w1 + w2 - w3 + w4

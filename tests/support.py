@@ -4,7 +4,6 @@ import numpy as np
 
 from quadtrack import (
     ChannelGains,
-    ControlInputs,
     QuadrotorParams,
     attitude_torque,
     channel_errors,
@@ -16,17 +15,17 @@ from quadtrack import (
 )
 
 
-def rotor_speeds_to_inputs(params: QuadrotorParams, w) -> ControlInputs:
-    """Forward mixing: rotor speeds [rad/s] to the four physical inputs.
+def rotor_speeds_to_inputs(params: QuadrotorParams, w):
+    """Forward mixing: rotor speeds (w1, w2, w3, w4) [rad/s] to (up, uphi, utheta, upsi).
 
     The oracle for mix_inputs_to_rotor_speeds, which inverts it.
     """
     s1, s2, s3, s4 = (wi * wi for wi in w)
-    return ControlInputs(
-        up=params.b * (s1 + s2 + s3 + s4),
-        uphi=params.b * (s4 - s2),
-        utheta=params.b * (s3 - s1),
-        upsi=params.d * (s1 - s2 + s3 - s4),
+    return (
+        params.b * (s1 + s2 + s3 + s4),
+        params.b * (s4 - s2),
+        params.b * (s3 - s1),
+        params.d * (s1 - s2 + s3 - s4),
     )
 
 

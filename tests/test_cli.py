@@ -136,6 +136,18 @@ class TestSweep:
             assert summary["completed"] is True
             assert summary["scenario"]["gains"]["roll"]["k"] == k
 
+    def test_sweep_varies_the_residual_speed_pin(self, tmp_path):
+        # The pin is a Scenario field, yet a file and a sweep path keep it under params.
+        scenario = tmp_path / "pin.json"
+        scenario.write_text(json.dumps({"sim": {"duration": 0.01}}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(scenario),
+                     "--vary", "params.fixed_residual_speed=0,40", "--out", str(out)]) == 0
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        for run, pinned in zip(runs, (0, 40), strict=True):
+            summary = json.loads((pathlib.Path(run["out"]) / "summary.json").read_text())
+            assert summary["scenario"]["params"]["fixed_residual_speed"] == pinned
+
     def test_sweep_parallel_jobs(self, tmp_path, short_scenario):
         out = tmp_path / "sweep"
         code = main(["sweep", "--scenario", str(short_scenario),

@@ -20,11 +20,9 @@ from quadtrack import (
     CHANNELS,
     COLUMNS,
     ClosedLoop,
-    ControlInputs,
     Metrics,
     NonFiniteError,
     QuadrotorParams,
-    RotorSpeeds,
     Scenario,
     SimLog,
     SimulationError,
@@ -197,7 +195,7 @@ class TestClosedLoopDerivative:
     def test_free_fall_descends_monotonically(self):
         # plant-only sanity: zero inputs, vertical velocity only decreases
         p = QuadrotorParams()
-        u = ControlInputs(0.0, 0.0, 0.0, 0.0)
+        u = (0.0, 0.0, 0.0, 0.0)
         f = lambda t, s: state_derivative(p, s, u, 0.0)
         s = np.zeros(12)
         vz_prev = 0.0
@@ -219,11 +217,7 @@ class TestObserverRows:
     @pytest.mark.parametrize("pinned", [None, 40.0], ids=["two_pass", "pinned"])
     @pytest.mark.parametrize("oracle", [False, True], ids=["estimates", "oracle"])
     def test_hgo_reads_estimates_and_do_reads_feedback(self, oracle, pinned):
-        stock = Scenario()
-        sc = dataclasses.replace(
-            stock, duration=1.0,
-            params=dataclasses.replace(stock.params, fixed_residual_speed=pinned),
-            true_state_feedback=oracle)
+        sc = Scenario(duration=1.0, fixed_residual_speed=pinned, true_state_feedback=oracle)
         loop, params = ClosedLoop(sc), sc.params
         col = {name: i for i, name in enumerate(COLUMNS)}
         rng = np.random.default_rng(17)
@@ -231,7 +225,7 @@ class TestObserverRows:
             a = (loop.initial_state() + rng.normal(0.0, 0.1, STATE_DIM)).tolist()
             deriv, row = loop.signals(rng.uniform(0.0, sc.duration), a)
             up, *torques = (row[col[name]] for name in ("Up", "Uphi", "Utheta", "Upsi"))
-            speeds = RotorSpeeds(*(row[col[f"w{k}"]] for k in range(1, 5)))
+            speeds = tuple(row[col[f"w{k}"]] for k in range(1, 5))
             omega_r = residual_speed(speeds) if pinned is None else pinned
             xhat1, xhat2 = a[PLANT_DIM + 3::RIG_SIZE], a[PLANT_DIM + 4::RIG_SIZE]
             fb1, fb2 = (a[0:PLANT_DIM:2], a[1:PLANT_DIM:2]) if oracle else (xhat1, xhat2)

@@ -7,7 +7,6 @@ import pytest
 from quadtrack import (
     AngleGuardError,
     ClosedLoop,
-    ControlInputs,
     DenominatorTooSmallError,
     NonFiniteError,
     QuadrotorParams,
@@ -19,7 +18,7 @@ from quadtrack import (
 from quadtrack.vehicle import MIN_EXTRACTION_DENOMINATOR
 
 PARAMS = QuadrotorParams()
-HOVER = ControlInputs(PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
+HOVER = (PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
 
 
 def replaced(values, i, bad):
@@ -29,7 +28,7 @@ def replaced(values, i, bad):
 
 
 def plant(state=(0.0,) * 12, inputs=HOVER, disturbance=(0.0,) * 6, omega_r=0.0):
-    return state_derivative(PARAMS, state, ControlInputs(*inputs), omega_r, disturbance)
+    return state_derivative(PARAMS, state, inputs, omega_r, disturbance)
 
 
 def augmented(bad):
@@ -53,7 +52,7 @@ SITES = [
                  lambda bad: extract_thrust_and_attitude(PARAMS, 0.0, 0.0, 0.0, bad),
                  id="yaw setpoint"),
     pytest.param("inputs", 2,
-                 lambda bad: mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(1.0, 0.0, bad, 0.0)),
+                 lambda bad: mix_inputs_to_rotor_speeds(PARAMS, (1.0, 0.0, bad, 0.0)),
                  id="mixer"),
     pytest.param("augmented state", 16, augmented, id="augmented state"),
 ]

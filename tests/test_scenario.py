@@ -125,7 +125,7 @@ class TestPartialOverrides:
 
     def test_fixed_residual_speed(self):
         sc = scenario_from_dict({"params": {"fixed_residual_speed": 3.0}})
-        assert sc.params.fixed_residual_speed == 3.0
+        assert sc.fixed_residual_speed == 3.0
 
 
 _GAUSSIAN = {"type": "noise", "kind": "gaussian", "sigma": 0.1, "hold": 1.0}
@@ -317,9 +317,9 @@ _RANGES = [
     (ChannelGains(p=1.0, k=1.0, lam=1.0),
      {"p": 0.0, "k": -1.0, "lam": 0.5, "tau": 1.5, "m1": 0.0, "m2": -0.1, "beta1": 0.0,
       "beta2": 0.0, "eps": 1e-200}),
-    (QuadrotorParams(fixed_residual_speed=0.0),
+    (QuadrotorParams(),
      {"g": 0.0, "m": -0.1, "l": 0.0, "b": 0.0, "d": 0.0, "Ir": 0.0, "Ix": 0.0, "Iy": 0.0,
-      "Iz": 0.0, "fixed_residual_speed": None}),
+      "Iz": 0.0}),
     (Sinusoid(1.0, 0.1), {"amplitude": None, "omega": None, "phase": None}),
     (Step(1.0, 1.0), {"value": None, "onset": -1.0}),
     (Ramp(0.1, 0.01, 1.0), {"offset": None, "slope": None, "end": -1.0}),
@@ -328,7 +328,8 @@ _RANGES = [
     (BandLimitedNoise(1e-3, 0.1), {"power": -1e-3, "inner_dt": 0.0}),
     (SampledNoise(GaussianNoise(0.1), hold=1.0), {"hold": 0.0, "seed": -1}),
     (Scenario(duration=1.0),
-     {"dt": 0.02, "duration": 0.0, "seed": -1, "decimation": 0, "psi_des": None}),
+     {"dt": 0.02, "duration": 0.0, "seed": -1, "decimation": 0, "psi_des": None,
+      "fixed_residual_speed": None}),
 ]
 # A valid instance of each configuration dataclass with other fields, and those fields: the
 # rule checks their type, and Scenario checks some of them further by hand.
@@ -396,7 +397,11 @@ class TestRangeRule:
         ({"disturbances": {"y": {"type": "step", "value": 1.0, "onset": -1}}},
          "bad disturbances.y: Step.onset out of range: -1"),
         ({"sim": {"dt": 0.5}}, "Scenario.dt out of range: 0.5"),
-    ], ids=["gains", "disturbances", "sim"])
+        # The residual-speed pin sits in the params section but is a Scenario field.
+        ({"params": {"fixed_residual_speed": True}},
+         "Scenario.fixed_residual_speed out of range: True"),
+        ({"params": 5}, "params must be an object, got 5"),
+    ], ids=["gains", "disturbances", "sim", "params-pin", "params-not-object"])
     def test_load_names_the_section_and_the_field(self, raw, message):
         with pytest.raises(ScenarioError) as exc:
             scenario_from_dict(raw)

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtrack import (
-    ControlInputs,
     DenominatorTooSmallError,
     NonFiniteError,
     QuadrotorParams,
-    RotorSpeeds,
     acceleration_from_attitude,
     attitude_coupling,
     attitude_input_gain,
@@ -20,6 +18,7 @@ from quadtrack import (
     residual_speed,
     state_derivative,
 )
+from quadtrack import vehicle
 from support import rotor_speeds_to_inputs
 
 PARAMS = QuadrotorParams()
@@ -35,12 +34,12 @@ def level_state(**kw):
 
 class TestStateDerivative:
     def test_hover_equilibrium(self):
-        u = ControlInputs(PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
+        u = (PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
         ds = state_derivative(PARAMS, level_state(), u, 0.0)
         assert np.array_equal(ds, np.zeros(12))
 
     def test_free_fall(self):
-        u = ControlInputs(0.0, 0.0, 0.0, 0.0)
+        u = (0.0, 0.0, 0.0, 0.0)
         ds = state_derivative(PARAMS, level_state(), u, 0.0)
         expected = np.zeros(12)
         expected[11] = -9.81
@@ -48,7 +47,7 @@ class TestStateDerivative:
 
     def test_pure_yaw_torque(self):
         # U_psi equal to Iz gives exactly 1 rad/s^2 of yaw acceleration.
-        u = ControlInputs(0.0, 0.0, 0.0, 1.3e-3)
+        u = (0.0, 0.0, 0.0, 1.3e-3)
         ds = state_derivative(PARAMS, level_state(), u, 0.0)
         assert ds[5] == pytest.approx(1.0, rel=1e-12)
         assert ds[11] == pytest.approx(-PARAMS.g)
@@ -57,7 +56,7 @@ class TestStateDerivative:
 
     def test_disturbance_enters_acceleration_rows(self):
         d = (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)
-        u = ControlInputs(PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
+        u = (PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
         ds = state_derivative(PARAMS, level_state(), u, 0.0, d)
         assert np.allclose(ds[[1, 3, 5, 7, 9, 11]], d)
         assert np.all(ds[[0, 2, 4, 6, 8, 10]] == 0.0)
@@ -75,10 +74,10 @@ class TestStateDerivative:
             t2 = rng.normal(0.0, 1.0, 3)
             d1 = tuple(rng.normal(0.0, 1.0, 6))
             d2 = tuple(rng.normal(0.0, 1.0, 6))
-            u0 = ControlInputs(up, 0.0, 0.0, 0.0)
-            ua = ControlInputs(up, *t1)
-            ub = ControlInputs(up, *t2)
-            uab = ControlInputs(up, *(t1 + t2))
+            u0 = (up, 0.0, 0.0, 0.0)
+            ua = (up, *t1)
+            ub = (up, *t2)
+            uab = (up, *(t1 + t2))
             dab = tuple(a + b for a, b in zip(d1, d2))
             lhs = state_derivative(PARAMS, s, uab, omega_r, dab) + state_derivative(
                 PARAMS, s, u0, omega_r)
@@ -87,14 +86,13 @@ class TestStateDerivative:
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_rejects_non_finite(self):
-        u = ControlInputs(1.0, 0.0, 0.0, 0.0)
+        u = (1.0, 0.0, 0.0, 0.0)
         bad = level_state()
         bad[3] = math.nan
         with pytest.raises(NonFiniteError):
             state_derivative(PARAMS, bad, u, 0.0)
         with pytest.raises(NonFiniteError):
-            state_derivative(PARAMS, level_state(), ControlInputs(1.0, math.inf, 0.0, 0.0),
-                             0.0)
+            state_derivative(PARAMS, level_state(), (1.0, math.inf, 0.0, 0.0), 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["state", "inputs", "disturbance"])
@@ -103,20 +101,18 @@ class TestStateDerivative:
                 "disturbance": [0.0] * 6}
         args[where][1] = bad
         with pytest.raises(NonFiniteError) as exc:
-            state_derivative(PARAMS, args["state"], ControlInputs(*args["inputs"]), 0.0,
-                             args["disturbance"])
+            state_derivative(PARAMS, args["state"], args["inputs"], 0.0, args["disturbance"])
         assert str(exc.value) == f"non-finite {where} entry 1: {bad!r}"
 
     def test_finite_values_whose_sum_overflows_pass(self):
         # Two entries of 1e308 sum to inf; each is finite, so no check fires.
         state_derivative(PARAMS, level_state(x8=1e308, x10=1e308),
-                         ControlInputs(1e308, 1e308, 0.0, 0.0), 0.0,
+                         (1e308, 1e308, 0.0, 0.0), 0.0,
                          (1e308, 1e308, 0.0, 0.0, 0.0, 0.0))
 
     def test_rejects_negative_thrust(self):
         with pytest.raises(ValueError):
-            state_derivative(PARAMS, level_state(), ControlInputs(-1.0, 0.0, 0.0, 0.0),
-                             0.0)
+            state_derivative(PARAMS, level_state(), (-1.0, 0.0, 0.0, 0.0), 0.0)
 
 
 _REAL = st.floats(-50.0, 50.0)
@@ -138,7 +134,7 @@ class TestPlantIsTheModel:
                     for axis, u, d_axis in zip(("roll", "pitch", "yaw"), torques, d)]
         accel = acceleration_from_attitude(PARAMS, phi, theta, psi, up)
         expected += [a + d_axis for a, d_axis in zip(accel, d[3:])]
-        ds = state_derivative(PARAMS, state, ControlInputs(up, *torques), omega_r, d)
+        ds = state_derivative(PARAMS, state, (up, *torques), omega_r, d)
         assert ds[1::2].tolist() == expected
 
 
@@ -156,27 +152,27 @@ class TestAxisRows:
 
 class TestMixing:
     def test_equal_speeds_pure_thrust(self):
-        u = rotor_speeds_to_inputs(PARAMS, RotorSpeeds(500.0, 500.0, 500.0, 500.0))
-        assert u.uphi == 0.0 and u.utheta == 0.0 and u.upsi == 0.0
-        assert u.up == pytest.approx(PARAMS.b * 4 * 500.0**2)
+        up, uphi, utheta, upsi = rotor_speeds_to_inputs(PARAMS, (500.0, 500.0, 500.0, 500.0))
+        assert uphi == 0.0 and utheta == 0.0 and upsi == 0.0
+        assert up == pytest.approx(PARAMS.b * 4 * 500.0**2)
 
     def test_forward_values(self):
-        u = rotor_speeds_to_inputs(PARAMS, RotorSpeeds(1000.0, 1000.0, 1000.0, 1000.0))
-        assert u.up == pytest.approx(11.92, rel=1e-12)
-        u = rotor_speeds_to_inputs(PARAMS, RotorSpeeds(0.0, 0.0, 1000.0, 0.0))
-        assert u.up == pytest.approx(2.98, rel=1e-12)
-        assert u.utheta == pytest.approx(2.98, rel=1e-12)
-        assert u.uphi == 0.0
-        assert u.upsi == pytest.approx(0.75, rel=1e-12)
+        up, _, _, _ = rotor_speeds_to_inputs(PARAMS, (1000.0, 1000.0, 1000.0, 1000.0))
+        assert up == pytest.approx(11.92, rel=1e-12)
+        up, uphi, utheta, upsi = rotor_speeds_to_inputs(PARAMS, (0.0, 0.0, 1000.0, 0.0))
+        assert up == pytest.approx(2.98, rel=1e-12)
+        assert utheta == pytest.approx(2.98, rel=1e-12)
+        assert uphi == 0.0
+        assert upsi == pytest.approx(0.75, rel=1e-12)
 
     def test_uniform_thrust_split(self):
-        res = mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(4.0 * PARAMS.b, 0.0, 0.0, 0.0))
+        res = mix_inputs_to_rotor_speeds(PARAMS, (4.0 * PARAMS.b, 0.0, 0.0, 0.0))
         assert not res.clamped
         assert np.allclose(res.speeds, [1.0] * 4, rtol=1e-12)
 
     def test_zero_inputs(self):
-        res = mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(0.0, 0.0, 0.0, 0.0))
-        assert res.speeds == RotorSpeeds(0.0, 0.0, 0.0, 0.0)
+        res = mix_inputs_to_rotor_speeds(PARAMS, (0.0, 0.0, 0.0, 0.0))
+        assert res.speeds == (0.0, 0.0, 0.0, 0.0)
         assert not res.clamped
 
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -187,27 +183,28 @@ class TestMixing:
         res = mix_inputs_to_rotor_speeds(PARAMS, u)
         assert not res.clamped
         back = rotor_speeds_to_inputs(PARAMS, res.speeds)
-        scale = (u.up, u.up, u.up, u.up * PARAMS.d / PARAMS.b)
+        up = u[0]
+        scale = (up, up, up, up * PARAMS.d / PARAMS.b)
         for want, got, s in zip(u, back, scale):
             assert abs(got - want) <= 8.0 * EPS * s
 
     def test_clamping_flagged(self):
         # Torque demand far beyond the thrust budget forces negative squares.
-        res = mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(4.0 * PARAMS.b, 100.0, 0.0, 0.0))
+        res = mix_inputs_to_rotor_speeds(PARAMS, (4.0 * PARAMS.b, 100.0, 0.0, 0.0))
         assert res.clamped
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
-            mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(math.nan, 0.0, 0.0, 0.0))
+            mix_inputs_to_rotor_speeds(PARAMS, (math.nan, 0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_message_names_the_value(self, bad):
         with pytest.raises(NonFiniteError) as exc:
-            mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(1.0, 0.0, bad, 0.0))
+            mix_inputs_to_rotor_speeds(PARAMS, (1.0, 0.0, bad, 0.0))
         assert str(exc.value) == f"non-finite inputs entry 2: {bad!r}"
 
     def test_finite_inputs_whose_sum_overflows_pass(self):
-        mix_inputs_to_rotor_speeds(PARAMS, ControlInputs(1e308, 1e308, 0.0, 0.0))
+        mix_inputs_to_rotor_speeds(PARAMS, (1e308, 1e308, 0.0, 0.0))
 
     @pytest.mark.parametrize("uphi, utheta, speeds", [
         (2.0, 0.0, (0.0, 0.0, 0.0, 1.0)),   # rotor 2 wants a square of -1
@@ -216,18 +213,18 @@ class TestMixing:
         (0.0, -2.0, (1.0, 0.0, 0.0, 0.0)),  # rotor 3
     ])
     def test_clamps_each_negative_square_alone(self, uphi, utheta, speeds):
-        u = ControlInputs(0.0, uphi * PARAMS.b, utheta * PARAMS.b, 0.0)
+        u = (0.0, uphi * PARAMS.b, utheta * PARAMS.b, 0.0)
         res = mix_inputs_to_rotor_speeds(PARAMS, u)
         assert res.clamped
-        assert res.speeds == RotorSpeeds(*speeds)
+        assert res.speeds == speeds
 
 
 class TestResidualSpeed:
     def test_equal_speeds_cancel(self):
-        assert residual_speed(RotorSpeeds(400.0, 400.0, 400.0, 400.0)) == 0.0
+        assert residual_speed((400.0, 400.0, 400.0, 400.0)) == 0.0
 
     def test_alternating_sign_convention(self):
-        assert residual_speed(RotorSpeeds(100.0, 110.0, 100.0, 110.0)) == pytest.approx(20.0)
+        assert residual_speed((100.0, 110.0, 100.0, 110.0)) == pytest.approx(20.0)
 
 
 def virtual_from_angles(phi, theta, psi):
@@ -314,3 +311,7 @@ class TestParamsValidation:
             QuadrotorParams(**{field: 0.0})
         with pytest.raises(ValueError):
             QuadrotorParams(**{field: -1.0})
+
+    def test_holds_only_airframe_constants(self):
+        # Every field is a constant with the range "> 0"; a run setting belongs on Scenario.
+        assert {f.name for f in dataclasses.fields(QuadrotorParams)} == set(vehicle._RANGES)

@@ -73,6 +73,13 @@ MODES = {
                             "hold": 0.01}),
     "band_limited": _everywhere({"type": "noise", "kind": "band_limited", "power": 1e-4,
                                  "inner_dt": 1e-3, "hold": 0.01}),
+    # Each attitude channel draws from a seed of its own, not from the master seed.
+    "seeded_noise": {"disturbances": {
+        "roll": {"type": "noise", "kind": "gaussian", "sigma": 0.05, "hold": 0.01, "seed": 11},
+        "pitch": {"type": "noise", "kind": "uniform", "low": -0.05, "high": 0.05, "hold": 0.01,
+                  "seed": 12},
+        "yaw": {"type": "noise", "kind": "band_limited", "power": 1e-4, "inner_dt": 1e-3,
+                "hold": 0.01, "seed": 13}}, "sim": {"duration": 0.5}},
 }
 # Run as `quadtrack sweep --scenario <this> --vary <VARY> --out sweep` from an empty directory.
 SWEEP = {**_WAYPOINTS, "sim": {"duration": 0.2}}

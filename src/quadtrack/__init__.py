@@ -22,7 +22,6 @@ from .disturbances import (
     GaussianNoise,
     NoDisturbance,
     Ramp,
-    SampledNoise,
     Sinusoid,
     Step,
     UniformNoise,

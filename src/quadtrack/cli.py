@@ -91,15 +91,15 @@ def _parse_vary(vary: str):
     if "=" not in vary:
         raise ScenarioError(f"--vary needs PATH=V1,V2,..., got {vary!r}")
     path, _, raw_values = vary.partition("=")
-    keys = [k for k in path.strip().split(".") if k]
-    if not keys:
-        raise ScenarioError(f"--vary has an empty parameter path: {vary!r}")
+    keys = path.strip().split(".")
+    if not all(keys):
+        raise ScenarioError(f"--vary has an empty segment in its parameter path: {vary!r}")
     values = []
     for piece in raw_values.split(","):
         piece = piece.strip()
         try:
             values.append(json.loads(piece))
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # kept as a string, as for any unparsable piece
             values.append(piece)
     return keys, values
 

@@ -1,10 +1,11 @@
 """Disturbance generators injected into the plant's acceleration rows.
 
-Analytic shapes (sinusoid, step, ramp) are pure functions of time.  Sampled
-noise draws one value per hold interval from a seeded generator and holds it
-constant, so re-evaluating any t inside an interval returns the same value;
-that is required for the integrator substeps.  All generators are
-deterministic given their seed.
+Analytic shapes (sinusoid, step, ramp) are pure functions of time.  Held noise
+is one dataclass per kind (GaussianNoise, UniformNoise, BandLimitedNoise), its
+kind's fields followed by `hold` and `seed`.  It draws one value per hold
+interval from a seeded generator and holds it constant, so re-evaluating any t
+inside an interval returns the same value; that is required for the integrator
+substeps.  All generators are deterministic given their seed.
 """
 
 import math
@@ -52,19 +53,24 @@ class Ramp:
 @dataclass(frozen=True)
 class GaussianNoise:
     sigma: float
+    hold: float                 # sample-and-hold interval [s]
+    seed: Optional[int] = None  # None: derived from the scenario master seed; else int >= 0
 
     def __post_init__(self):
-        require_fields(self, sigma=_NONNEGATIVE)
+        require_fields(self, sigma=_NONNEGATIVE, hold=_POSITIVE, seed=_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
 class UniformNoise:
     low: float
     high: float
+    hold: float
+    seed: Optional[int] = None
 
     def __post_init__(self):
         # high - low scales the draws, so it must not overflow either.
-        require_fields(self, high=lambda v: v >= self.low and math.isfinite(v - self.low))
+        require_fields(self, high=lambda v: v >= self.low and math.isfinite(v - self.low),
+                       hold=_POSITIVE, seed=_NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -73,24 +79,18 @@ class BandLimitedNoise:
 
     power: float
     inner_dt: float       # [s]
+    hold: float
+    seed: Optional[int] = None
 
     def __post_init__(self):
         # The white sequence's variance power / inner_dt must not overflow either.
         require_fields(self, power=_NONNEGATIVE,
-                       inner_dt=lambda v: v > 0.0 and math.isfinite(self.power / v))
+                       inner_dt=lambda v: v > 0.0 and math.isfinite(self.power / v),
+                       hold=_POSITIVE, seed=_NONNEGATIVE)
 
 
-NoiseKind = Union[GaussianNoise, UniformNoise, BandLimitedNoise]
-
-
-@dataclass(frozen=True)
-class SampledNoise:
-    kind: NoiseKind
-    hold: float                 # sample-and-hold interval [s]
-    seed: Optional[int] = None  # None: derived from the scenario master seed; else int >= 0
-
-    def __post_init__(self):
-        require_fields(self, hold=_POSITIVE, seed=_NONNEGATIVE)
+# The held-noise spec classes, for isinstance.
+HELD_NOISE = (GaussianNoise, UniformNoise, BandLimitedNoise)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,8 @@ class NoDisturbance:
     pass
 
 
-DisturbanceSpec = Union[Sinusoid, Step, Ramp, SampledNoise, NoDisturbance]
+DisturbanceSpec = Union[Sinusoid, Step, Ramp, GaussianNoise, UniformNoise, BandLimitedNoise,
+                        NoDisturbance]
 
 
 # A run reads its disturbances at RK4 stage times up to n dt.  The scenario's step rule
@@ -107,40 +108,40 @@ DisturbanceSpec = Union[Sinusoid, Step, Ramp, SampledNoise, NoDisturbance]
 _HORIZON_SLACK = 2e-9
 
 
-def noise_draw_size(spec: SampledNoise, horizon: float) -> Tuple[float, float]:
-    """(hold boundaries, random values) that a run to `horizon` draws for `spec`.
+def noise_draw_size(spec, horizon: float) -> Tuple[float, float]:
+    """(hold boundaries, random values) that a run to `horizon` draws for held noise `spec`.
 
     The boundaries are those a run can read, at 0, hold, 2 hold, ... up to the horizon:
     floor(horizon (1 + 2e-9) / hold) + 1.  Band-limited noise draws its inner white
     sequence up to the last of them.  The counts are floats, inf where they overflow.
     """
     boundaries = _floor_plus_one(horizon * (1.0 + _HORIZON_SLACK) / spec.hold)
-    if not isinstance(spec.kind, BandLimitedNoise):
+    if not isinstance(spec, BandLimitedNoise):
         return boundaries, boundaries
-    return boundaries, _floor_plus_one((boundaries - 1.0) * spec.hold / spec.kind.inner_dt)
+    return boundaries, _floor_plus_one((boundaries - 1.0) * spec.hold / spec.inner_dt)
 
 
 def _floor_plus_one(x: float) -> float:
     return math.floor(x) + 1.0 if x < math.inf else math.inf
 
 
-def noise_boundary_values(kind: NoiseKind, seed, count: int, hold: float) -> np.ndarray:
-    """The first `count` hold-boundary values of a seeded noise stream.
+def noise_boundary_values(spec, seed, count: int) -> np.ndarray:
+    """The first `count` hold-boundary values of spec's noise stream, drawn from `seed`.
 
-    Same seed, same sequence.  Band-limited noise reads the outer hold to
-    subsample its inner white sequence at the boundaries, and draws that
-    sequence up to the last inner step it reads.
+    Same seed, same sequence; the caller resolves spec.seed.  Band-limited noise
+    reads the outer hold to subsample its inner white sequence at the boundaries,
+    and draws that sequence up to the last inner step it reads.
     """
     rng = np.random.default_rng(seed)
-    if isinstance(kind, GaussianNoise):
-        return rng.normal(0.0, kind.sigma, count)
-    if isinstance(kind, UniformNoise):
-        return rng.uniform(kind.low, kind.high, count)
-    if isinstance(kind, BandLimitedNoise):
-        idx = np.floor(np.arange(count) * hold / kind.inner_dt).astype(int)
-        white = rng.normal(0.0, math.sqrt(kind.power / kind.inner_dt), idx[-1] + 1 if count else 0)
+    if isinstance(spec, GaussianNoise):
+        return rng.normal(0.0, spec.sigma, count)
+    if isinstance(spec, UniformNoise):
+        return rng.uniform(spec.low, spec.high, count)
+    if isinstance(spec, BandLimitedNoise):
+        idx = np.floor(np.arange(count) * spec.hold / spec.inner_dt).astype(int)
+        white = rng.normal(0.0, math.sqrt(spec.power / spec.inner_dt), idx[-1] + 1 if count else 0)
         return white[idx]
-    raise TypeError(f"unknown noise kind: {kind!r}")
+    raise TypeError(f"unknown noise spec: {spec!r}")
 
 
 class _AnalyticGenerator:
@@ -161,11 +162,11 @@ class SampledNoiseGenerator:
 
     __slots__ = ("hold", "_values", "_count")
 
-    def __init__(self, spec: SampledNoise, seed, horizon: float):
+    def __init__(self, spec, seed, horizon: float):
         self.hold = spec.hold
         try:
             self._count = int(noise_draw_size(spec, horizon)[0])
-            values = noise_boundary_values(spec.kind, seed, self._count, spec.hold)
+            values = noise_boundary_values(spec, seed, self._count)
         except (OverflowError, ValueError) as exc:  # a valid spec, but a size no array holds
             raise MemoryError(str(exc)) from exc
         self._values = values.tolist()
@@ -198,6 +199,6 @@ def make_generator(spec: DisturbanceSpec, seed, horizon: float):
         offset, slope, end = spec.offset, spec.slope, spec.end
         tail = (offset + slope * end) if spec.hold_after else 0.0
         return _AnalyticGenerator(lambda t: offset + slope * t if t <= end else tail)
-    if isinstance(spec, SampledNoise):
+    if isinstance(spec, HELD_NOISE):
         return SampledNoiseGenerator(spec, spec.seed if spec.seed is not None else seed, horizon)
     raise TypeError(f"unknown disturbance spec: {spec!r}")

@@ -22,17 +22,18 @@ trajectories (reference_trajectory, waypoint_trajectory):
     }
 
 The field annotations of the dataclasses (`QuadrotorParams`, `ChannelGains`,
-each disturbance and noise kind, and `Scenario`, whose own fields the `sim` and
-`toggles` sections set) are the schema; the `params` section maps onto
-`QuadrotorParams` plus one `Scenario` field, `fixed_residual_speed`.  Each
-dataclass checks every field by one rule when it is built
-(errors.require_fields), so a file, a direct build and `dataclasses.replace`
-meet the same checks in the same order: the type, exactly (`true`/`false` are no
-numbers, a float is no integer, and a number field keeps an integer that fits a
-float as given, so the digest does not change), then that every float in it is
-finite, then the range noted beside the field.  The loader only maps sections
-onto constructors, and rejects unknown tags and fields in every section; a noise
-disturbance carries its kind's fields beside its own.  `Scenario` holds the
+each disturbance, and `Scenario`, whose own fields the `sim` and `toggles`
+sections set) are the schema; the `params` section maps onto `QuadrotorParams`
+plus one `Scenario` field, `fixed_residual_speed`.  Each dataclass checks every
+field by one rule when it is built (errors.require_fields), so a file, a direct
+build and `dataclasses.replace` meet the same checks in the same order: the
+type, exactly (`true`/`false` are no numbers, a float is no integer, and a
+number field keeps an integer that fits a float as given, so the digest does not
+change), then that every float in it is finite, then the range noted beside the
+field.  The loader only maps sections onto constructors, and rejects unknown
+tags and fields in every section; a noise disturbance is its kind's dataclass
+(`GaussianNoise`, `UniformNoise` or `BandLimitedNoise`, with `hold` and `seed`),
+whose `type` and `kind` tags live only in the file.  `Scenario` holds the
 trajectory as `waypoints`: (t, x, y, z) rows, or None for the helix, whose
 `{"type": ...}` tag lives only in the file.  It keeps tuple copies of the rows
 and of `initial_state`, which no caller can edit, and checks across fields: the
@@ -58,9 +59,9 @@ from .disturbances import (
     BandLimitedNoise,
     DisturbanceSpec,
     GaussianNoise,
+    HELD_NOISE,
     NoDisturbance,
     Ramp,
-    SampledNoise,
     Sinusoid,
     Step,
     UniformNoise,
@@ -85,9 +86,9 @@ _STOCK_GAINS = {  # stiff attitude loops, slow position loops
     "z": ChannelGains(p=0.1, k=1.0, lam=5.0, m2=0.1),
 }
 _STOCK_DISTURBANCES = {  # analytic shapes on position, held noise on attitude
-    "roll": SampledNoise(GaussianNoise(sigma=0.1), hold=15.0),
-    "pitch": SampledNoise(UniformNoise(low=-0.1, high=0.1), hold=15.0),
-    "yaw": SampledNoise(BandLimitedNoise(power=1e-3, inner_dt=0.1), hold=1.0),
+    "roll": GaussianNoise(sigma=0.1, hold=15.0),
+    "pitch": UniformNoise(low=-0.1, high=0.1, hold=15.0),
+    "yaw": BandLimitedNoise(power=1e-3, inner_dt=0.1, hold=1.0),
     "x": Sinusoid(amplitude=1.0, omega=0.1),
     "y": Step(value=1.0, onset=50.0),
     "z": Ramp(offset=0.1, slope=0.01, end=100.0),
@@ -181,7 +182,7 @@ class Scenario:
             raise ScenarioError(f"disturbances must cover exactly {CHANNELS}")
         # A run allocates a log row per step, and per noise channel the draws noise_draw_size
         # counts: a value per hold boundary, and band-limited noise its inner sequence.
-        counts = [steps, *(n for s in self.disturbances.values() if isinstance(s, SampledNoise)
+        counts = [steps, *(n for s in self.disturbances.values() if isinstance(s, HELD_NOISE)
                            for n in noise_draw_size(s, self.duration))]
         if max(counts) > sys.maxsize:
             raise ScenarioError(f"duration {self.duration} needs {max(counts):.3g} steps or draws")
@@ -201,12 +202,13 @@ class Scenario:
 
 # --- dict <-> dataclass plumbing -------------------------------------------
 
+# A noise disturbance's class is named by its "kind"; "noise" itself names none.
 _DISTURBANCE_TAGS = {"none": NoDisturbance, "sinusoid": Sinusoid, "step": Step,
-                     "ramp": Ramp, "noise": SampledNoise}
+                     "ramp": Ramp, "noise": None}
 _NOISE_KIND_TAGS = {"gaussian": GaussianNoise, "uniform": UniformNoise,
                     "band_limited": BandLimitedNoise}
 _TAG_OF = {cls: tag for table in (_DISTURBANCE_TAGS, _NOISE_KIND_TAGS)
-           for tag, cls in table.items()}
+           for tag, cls in table.items() if cls}
 
 _TRAJECTORY_TAGS = {"helix": {"type"}, "waypoints": {"type", "points"}}
 _SECTIONS = {"params", "gains", "trajectory", "disturbances", "psi_des", "initial_state",
@@ -244,22 +246,15 @@ def _tagged(table: dict, raw, key: str, what: str):
 
 
 def disturbance_to_dict(spec: DisturbanceSpec) -> dict:
-    out = {"type": _TAG_OF[type(spec)], **vars(spec)}
-    kind = out.pop("kind", None)
-    if kind is not None:
-        out.update(vars(kind), kind=_TAG_OF[type(kind)])
-    return out
+    if isinstance(spec, HELD_NOISE):
+        return {"type": "noise", "kind": _TAG_OF[type(spec)], **vars(spec)}
+    return {"type": _TAG_OF[type(spec)], **vars(spec)}
 
 
 def disturbance_from_dict(d: dict, what: str) -> DisturbanceSpec:
-    cls = _tagged(_DISTURBANCE_TAGS, d, "type", what)
-    fields = {name: value for name, value in d.items() if name != "type"}
-    if cls is SampledNoise:
-        kind_cls = _tagged(_NOISE_KIND_TAGS, d, "kind", what)
-        kind_fields = {name: fields.pop(name) for name in kind_cls.__dataclass_fields__
-                       if name in fields}
-        fields["kind"] = _build(kind_cls, kind_fields, what)
-    return _build(cls, fields, what)
+    cls = _tagged(_DISTURBANCE_TAGS, d, "type", what) or _tagged(_NOISE_KIND_TAGS, d, "kind", what)
+    tags = ("type", "kind") if cls in HELD_NOISE else ("type",)
+    return _build(cls, {name: value for name, value in d.items() if name not in tags}, what)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -311,7 +306,7 @@ def load_scenario(path) -> Scenario:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a huge int, deep nesting
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(raw)
 

@@ -198,6 +198,16 @@ class TestSweep:
         assert main(["sweep", "--scenario", str(short_scenario),
                      "--vary", "gains.roll.k", "--out", str(tmp_path / "s")]) == 2
 
+    # An empty segment was once dropped, so gains..roll.k ran as gains.roll.k.
+    @pytest.mark.parametrize("vary", ["=1", " . =1", "gains..roll.k=100", ".sim.seed=1",
+                                      "sim.seed.=1"])
+    def test_sweep_empty_path_segment_exits_2(self, tmp_path, short_scenario, capsys, vary):
+        out = tmp_path / "s"
+        assert main(["sweep", "--scenario", str(short_scenario), "--vary", vary,
+                     "--out", str(out)]) == 2
+        assert f"empty segment in its parameter path: {vary!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     # Each --vary once replaced the one before it, so the sweep ran only the last.
     @pytest.mark.parametrize("first, second", [("sim.seed=5", "sim.duration=0.01"),
                                                ("sim.duration=0.01", "sim.seed=5")])
@@ -335,6 +345,38 @@ class TestStrictJson:
         runs = strict_json(out / "sweep.json")["runs"]
         assert [run["completed"] for run in runs] == [False, False]
         assert all(set(run["tracking_rmse"].values()) == {None} for run in runs)
+
+
+# Input that Python's json parser refuses beyond the JSON grammar: an integer of more digits
+# than int() converts, and arrays nested past the recursion limit.
+_HUGE_INT = "1" * 5000
+_DEEP = "[" * 100_000
+
+
+class TestJsonLimits:
+    @pytest.mark.parametrize("text", ['{"sim": {"seed": %s}}' % _HUGE_INT,
+                                      '{"gains": %s}' % _DEEP], ids=["huge-int", "deep"])
+    @pytest.mark.parametrize("command", [("run",), ("sweep", "--vary", "sim.seed=1,2")],
+                             ids=["run", "sweep"])
+    def test_scenario_file_exits_2(self, tmp_path, capsys, text, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert main([*command, "--scenario", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: scenario file {bad} is not valid JSON")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vary", [f"sim.seed={_HUGE_INT}", f"psi_des={_DEEP[:50_000]}"],
+                             ids=["huge-int", "deep"])
+    def test_vary_value_exits_2_before_any_member_runs(self, tmp_path, short_scenario, capsys,
+                                                       vary):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(short_scenario), "--vary", vary,
+                     "--out", str(out)]) == 2
+        # Kept as a string, as any piece that is no JSON, which the field refuses.
+        assert capsys.readouterr().err.startswith("scenario error: Scenario.")
+        assert not out.exists()
 
 
 # A valid override of 1-30 steps with any toggles, with or without an initial state: entries

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from quadtrack import (
     GaussianNoise,
     NoDisturbance,
     Ramp,
-    SampledNoise,
     Sinusoid,
     Step,
     UniformNoise,
@@ -53,72 +53,75 @@ class TestAnalyticShapes:
         assert gen.value(12.3) == 0.0
 
 
+_HOLDS = st.floats(1e-3, 0.5)
+
+
 class TestSampledNoise:
     def test_zero_sigma_gaussian_is_identically_zero(self):
-        gen = make_generator(SampledNoise(GaussianNoise(0.0), hold=1.0), 0, 60.0)
+        gen = make_generator(GaussianNoise(0.0, hold=1.0), 0, 60.0)
         assert all(gen.value(t) == 0.0 for t in np.linspace(0, 60, 200))
 
     def test_same_seed_identical_bitwise(self):
-        spec = SampledNoise(GaussianNoise(0.1), hold=2.0, seed=1234)
+        spec = GaussianNoise(0.1, hold=2.0, seed=1234)
         g1 = make_generator(spec, 0, 60.0)
         g2 = make_generator(spec, 0, 60.0)
         ts = np.linspace(0.0, 60.0, 500)
         assert [g1.value(t) for t in ts] == [g2.value(t) for t in ts]
 
     def test_different_seeds_differ(self):
-        a = make_generator(SampledNoise(GaussianNoise(0.1), hold=2.0, seed=1), 0, 60.0)
-        b = make_generator(SampledNoise(GaussianNoise(0.1), hold=2.0, seed=2), 0, 60.0)
+        a = make_generator(GaussianNoise(0.1, hold=2.0, seed=1), 0, 60.0)
+        b = make_generator(GaussianNoise(0.1, hold=2.0, seed=2), 0, 60.0)
         assert a.value(1.0) != b.value(1.0)
 
     def test_constant_within_hold_interval(self):
-        gen = make_generator(SampledNoise(GaussianNoise(1.0), hold=15.0, seed=7), 0, 120.0)
+        gen = make_generator(GaussianNoise(1.0, hold=15.0, seed=7), 0, 120.0)
         for k in range(7):
             ref = gen.value(15.0 * k + 1e-6)
             for frac in (0.1, 0.33, 0.5, 0.9, 0.999):
                 assert gen.value(15.0 * (k + frac)) == ref
 
     def test_reevaluation_is_pure(self):
-        gen = make_generator(SampledNoise(UniformNoise(-1.0, 1.0), hold=1.0, seed=3), 0, 30.0)
+        gen = make_generator(UniformNoise(-1.0, 1.0, hold=1.0, seed=3), 0, 30.0)
         v1 = gen.value(17.25)
         for t in (29.0, 0.0, 17.25, 5.5, 17.25):
             gen.value(t)
         assert gen.value(17.25) == v1
 
     def test_gaussian_statistics(self):
-        vals = noise_boundary_values(GaussianNoise(1.0), 99, 100_000, hold=1.0)
+        vals = noise_boundary_values(GaussianNoise(1.0, hold=1.0), 99, 100_000)
         assert abs(vals.mean()) < 3.0 / math.sqrt(100_000)
         assert vals.var() == pytest.approx(1.0, rel=0.05)
 
     def test_uniform_statistics(self):
-        vals = noise_boundary_values(UniformNoise(-0.1, 0.1), 12, 100_000, hold=1.0)
+        vals = noise_boundary_values(UniformNoise(-0.1, 0.1, hold=1.0), 12, 100_000)
         assert vals.min() >= -0.1 and vals.max() <= 0.1
         assert abs(vals.mean()) < 3 * (0.2 / math.sqrt(12)) / math.sqrt(100_000)
 
     def test_band_limited_variance_and_subsampling(self):
         # white inner sequence of variance power/inner_dt, held at the inner
         # rate and then sampled at the outer boundaries
-        kind = BandLimitedNoise(power=1e-3, inner_dt=0.1)
-        vals = noise_boundary_values(kind, 5, 50_000, hold=1.0)
+        spec = BandLimitedNoise(power=1e-3, inner_dt=0.1, hold=1.0)
+        vals = noise_boundary_values(spec, 5, 50_000)
         assert vals.var() == pytest.approx(1e-3 / 0.1, rel=0.05)
         # outer hold below the inner step repeats inner values
-        vals_fast = noise_boundary_values(kind, 5, 10, hold=0.05)
+        vals_fast = noise_boundary_values(dataclasses.replace(spec, hold=0.05), 5, 10)
         assert vals_fast[0] == vals_fast[1]  # both inside the first inner step
 
     # A shorter draw with the same seed is a bitwise prefix of a longer one,
     # so a short run sees the noise of the start of a long run.
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(kind=st.one_of(
-               st.builds(GaussianNoise, st.floats(0.0, 10.0)),
-               st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2).map(
-                   lambda bounds: UniformNoise(*sorted(bounds))),
-               st.builds(BandLimitedNoise, st.floats(0.0, 10.0), st.floats(1e-3, 1.0))),
+    @given(spec=st.one_of(
+               st.builds(GaussianNoise, st.floats(0.0, 10.0), hold=_HOLDS),
+               st.builds(lambda bounds, hold: UniformNoise(*sorted(bounds), hold=hold),
+                         st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2), _HOLDS),
+               st.builds(BandLimitedNoise, st.floats(0.0, 10.0), st.floats(1e-3, 1.0),
+                         hold=_HOLDS)),
            seed=st.integers(0, 2**32 - 1),
-           hold=st.floats(1e-3, 0.5),
            counts=st.lists(st.integers(0, 300), min_size=2, max_size=2).map(sorted))
-    def test_shorter_draw_is_a_prefix(self, kind, seed, hold, counts):
+    def test_shorter_draw_is_a_prefix(self, spec, seed, counts):
         short, long = counts
-        head = noise_boundary_values(kind, seed, short, hold)
-        assert head.tobytes() == noise_boundary_values(kind, seed, long, hold)[:short].tobytes()
+        head = noise_boundary_values(spec, seed, short)
+        assert head.tobytes() == noise_boundary_values(spec, seed, long)[:short].tobytes()
 
 
 def _stage_times(sc):
@@ -133,12 +136,12 @@ def _noise(kind, hold, **fields):
 
 class TestDrawSize:
     def test_counts_the_boundaries_up_to_the_horizon(self):
-        spec = SampledNoise(BandLimitedNoise(power=1.0, inner_dt=0.01), hold=0.1)
+        spec = BandLimitedNoise(power=1.0, inner_dt=0.01, hold=0.1)
         assert noise_draw_size(spec, 0.3) == (4.0, 31.0)
         assert noise_draw_size(spec, 0.29) == (3.0, 21.0)
-        assert noise_draw_size(SampledNoise(GaussianNoise(1.0), hold=0.1), 0.3) == (4.0, 4.0)
+        assert noise_draw_size(GaussianNoise(1.0, hold=0.1), 0.3) == (4.0, 4.0)
         # A hold past the horizon draws one value, not an inner sequence out to the next boundary.
-        long_hold = SampledNoise(BandLimitedNoise(power=1.0, inner_dt=1e-6), hold=1000.0)
+        long_hold = BandLimitedNoise(power=1.0, inner_dt=1e-6, hold=1000.0)
         assert noise_draw_size(long_hold, 0.001) == (1.0, 1.0)
 
     def test_horizon_slack_is_twice_the_step_rule(self):
@@ -147,12 +150,11 @@ class TestDrawSize:
         assert disturbances._HORIZON_SLACK == 2 * STEP_COUNT_RTOL
 
     def test_an_overflowing_count_is_inf(self):
-        assert noise_draw_size(SampledNoise(GaussianNoise(1.0), hold=5e-324), 1.0) == (
-            math.inf, math.inf)
-        tiny = SampledNoise(BandLimitedNoise(power=1e-300, inner_dt=5e-324), hold=1e300)
+        assert noise_draw_size(GaussianNoise(1.0, hold=5e-324), 1.0) == (math.inf, math.inf)
+        tiny = BandLimitedNoise(power=1e-300, inner_dt=5e-324, hold=1e300)
         assert noise_draw_size(tiny, 1e300) == (2.0, math.inf)
         with pytest.raises(MemoryError):  # as for a size numpy refuses
-            make_generator(SampledNoise(GaussianNoise(1.0), hold=5e-324), 0, 1.0)
+            make_generator(GaussianNoise(1.0, hold=5e-324), 0, 1.0)
 
     # Every value a run reads equals the value drawn for floor(horizon / hold) + 2 boundaries,
     # one past the horizon, seeded by np.random.SeedSequence((seed, channel index)).  The third
@@ -184,11 +186,11 @@ class TestDrawSize:
         times = _stage_times(sc)
         for idx, (ch, gen) in enumerate(zip(CHANNELS, built)):
             spec = sc.disturbances[ch]
-            if not isinstance(spec, SampledNoise):
+            if not isinstance(spec, disturbances.HELD_NOISE):
                 continue
             count = math.floor(sc.duration / spec.hold) + 2
             seed = np.random.SeedSequence((sc.seed, idx)) if spec.seed is None else spec.seed
-            drawn = noise_boundary_values(spec.kind, seed, count, spec.hold)
+            drawn = noise_boundary_values(spec, seed, count)
             expected = drawn[np.minimum((times / spec.hold).astype(int), count - 1)]
             assert [gen.value(t) for t in times.tolist()] == expected.tolist(), ch
 
@@ -197,22 +199,22 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "ctor",
         [
-            lambda: GaussianNoise(-1.0),
-            lambda: UniformNoise(1.0, -1.0),
-            lambda: BandLimitedNoise(-1e-3, 0.1),
-            lambda: BandLimitedNoise(1e-3, 0.0),
-            lambda: SampledNoise(GaussianNoise(0.1), hold=0.0),
-            lambda: SampledNoise(GaussianNoise(0.1), hold=1.0, seed=-4),
+            lambda: GaussianNoise(-1.0, hold=1.0),
+            lambda: UniformNoise(1.0, -1.0, hold=1.0),
+            lambda: BandLimitedNoise(-1e-3, 0.1, hold=1.0),
+            lambda: BandLimitedNoise(1e-3, 0.0, hold=1.0),
+            lambda: GaussianNoise(0.1, hold=0.0),
+            lambda: GaussianNoise(0.1, hold=1.0, seed=-4),
             lambda: Ramp(0.1, 0.01, -5.0),
             lambda: Step(1.0, -1.0),
             lambda: Sinusoid(math.nan, 1.0),
             lambda: Sinusoid(1.0, math.inf),
             lambda: Step(math.nan, 1.0),
             lambda: Ramp(0.1, -math.inf, 1.0),
-            lambda: GaussianNoise(math.inf),
-            lambda: UniformNoise(-math.inf, 0.1),
-            lambda: BandLimitedNoise(1e-3, math.nan),
-            lambda: SampledNoise(GaussianNoise(0.1), hold=math.inf),
+            lambda: GaussianNoise(math.inf, hold=1.0),
+            lambda: UniformNoise(-math.inf, 0.1, hold=1.0),
+            lambda: BandLimitedNoise(1e-3, math.nan, hold=1.0),
+            lambda: GaussianNoise(0.1, hold=math.inf),
         ],
     )
     def test_rejects_invalid(self, ctor):

@@ -20,7 +20,6 @@ from quadtrack import (
     GaussianNoise,
     QuadrotorParams,
     Ramp,
-    SampledNoise,
     Scenario,
     ScenarioError,
     Sinusoid,
@@ -53,7 +52,9 @@ class TestDefaults:
         assert isinstance(sc.disturbances["x"], Sinusoid)
         assert isinstance(sc.disturbances["y"], Step)
         assert isinstance(sc.disturbances["z"], Ramp)
-        assert isinstance(sc.disturbances["roll"], SampledNoise)
+        assert isinstance(sc.disturbances["roll"], GaussianNoise)
+        assert isinstance(sc.disturbances["pitch"], UniformNoise)
+        assert isinstance(sc.disturbances["yaw"], BandLimitedNoise)
 
     def test_empty_object_resolves_to_defaults(self):
         assert scenario_from_dict({}) == Scenario()
@@ -223,6 +224,9 @@ class TestValidationErrors:
             {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
                 "type": "noise", "kind": "band_limited", "power": 1e308, "inner_dt": 1e-3,
                 "hold": 0.005}}},
+            # A kind tag only on noise, and noise only with one.
+            {"disturbances": {"y": {"type": "step", "value": 1, "onset": 0, "kind": "gaussian"}}},
+            {"disturbances": {"roll": {"type": "noise", "sigma": 0.1, "hold": 1.0}}},
         ],
     )
     def test_rejected(self, raw):
@@ -260,8 +264,8 @@ class TestValidationErrors:
         (Scenario, {"seed": 1.5}, "Scenario.seed out of range: 1.5", {"sim": {"seed": 1.5}}),
         (Scenario, {"decimation": 2.5}, "Scenario.decimation out of range: 2.5",
          {"sim": {"decimation": 2.5}}),
-        (SampledNoise, {"kind": GaussianNoise(0.1), "hold": 1.0, "seed": 1.5},
-         "SampledNoise.seed out of range: 1.5",
+        (GaussianNoise, {"sigma": 0.1, "hold": 1.0, "seed": 1.5},
+         "GaussianNoise.seed out of range: 1.5",
          {"disturbances": {"roll": {**_GAUSSIAN, "seed": 1.5}}}),
         (QuadrotorParams, {"m": _HUGE}, f"QuadrotorParams.m out of range: {_HUGE!r}",
          {"params": {"m": _HUGE}}),
@@ -271,8 +275,6 @@ class TestValidationErrors:
          "Ramp.hold_after out of range: 'no'",
          {"disturbances": {"z": {"type": "ramp", "offset": 0.1, "slope": 0.01, "end": 1.0,
                                  "hold_after": "no"}}}),
-        (SampledNoise, {"kind": "gaussian", "hold": 1.0},
-         "SampledNoise.kind out of range: 'gaussian'", None),
         (Scenario, {"params": "p"}, "Scenario.params out of range: 'p'", None),
         (Scenario, {"true_state_feedback": None},
          "Scenario.true_state_feedback out of range: None",
@@ -283,8 +285,8 @@ class TestValidationErrors:
          "Scenario.disturbances['x'] out of range: 'oops'", None),
     ], ids=["row-bool", "row-string", "row-huge", "row-inf", "initial_state-bool",
             "initial_state-nan", "seed-float", "decimation-float", "noise-seed-float",
-            "params-huge", "toggle-string", "hold_after-string", "noise-kind-tag",
-            "params-string", "toggles-none", "gains-entry", "disturbances-entry"])
+            "params-huge", "toggle-string", "hold_after-string", "params-string",
+            "toggles-none", "gains-entry", "disturbances-entry"])
     def test_construction_rejects_what_the_loader_rejects(self, cls, kwargs, message, raw):
         with pytest.raises(ScenarioError) as built:
             cls(**kwargs)
@@ -323,10 +325,11 @@ _RANGES = [
     (Sinusoid(1.0, 0.1), {"amplitude": None, "omega": None, "phase": None}),
     (Step(1.0, 1.0), {"value": None, "onset": -1.0}),
     (Ramp(0.1, 0.01, 1.0), {"offset": None, "slope": None, "end": -1.0}),
-    (GaussianNoise(0.1), {"sigma": -0.1}),
-    (UniformNoise(-0.1, 0.1), {"low": None, "high": -0.2}),  # high < low is reported on high
-    (BandLimitedNoise(1e-3, 0.1), {"power": -1e-3, "inner_dt": 0.0}),
-    (SampledNoise(GaussianNoise(0.1), hold=1.0), {"hold": 0.0, "seed": -1}),
+    (GaussianNoise(0.1, hold=1.0), {"sigma": -0.1, "hold": 0.0, "seed": -1}),
+    # high < low is reported on high
+    (UniformNoise(-0.1, 0.1, hold=1.0), {"low": None, "high": -0.2, "hold": 0.0, "seed": -1}),
+    (BandLimitedNoise(1e-3, 0.1, hold=1.0),
+     {"power": -1e-3, "inner_dt": 0.0, "hold": 0.0, "seed": -1}),
     (Scenario(duration=1.0),
      {"dt": 0.02, "duration": 0.0, "seed": -1, "decimation": 0, "psi_des": None,
       "fixed_residual_speed": None}),
@@ -335,7 +338,6 @@ _RANGES = [
 # rule checks their type, and Scenario checks some of them further by hand.
 _TYPE_ONLY = [
     (Ramp(0.1, 0.01, 1.0), ("hold_after",)),
-    (SampledNoise(GaussianNoise(0.1), hold=1.0), ("kind",)),
     (Scenario(duration=1.0),
      ("params", "gains", "waypoints", "disturbances", "initial_state", "position_do",
       "true_state_feedback")),
@@ -389,8 +391,8 @@ class TestRangeRule:
     def test_boolean_noise_seed_is_out_of_range(self):
         # The loader rejects a JSON boolean by type; direct construction meets the same rule.
         with pytest.raises(ScenarioError) as exc:
-            SampledNoise(GaussianNoise(0.1), 1.0, seed=True)
-        assert str(exc.value) == "SampledNoise.seed out of range: True"
+            GaussianNoise(0.1, 1.0, seed=True)
+        assert str(exc.value) == "GaussianNoise.seed out of range: True"
 
     @pytest.mark.parametrize("raw, message", [
         ({"gains": {"roll": {"p": -1}}}, "bad gains.roll: ChannelGains.p out of range: -1"),

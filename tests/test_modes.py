@@ -64,6 +64,12 @@ MODES = {
     "eps_oracle_abort": {"toggles": {"true_state_feedback": True},
                          "gains": {"roll": {"eps": 1e-100}},
                          "initial_state": [0.1] + [0.0] * 11, "sim": {"duration": 0.01}},
+    # Started near the roll limit with a roll step of 200, roll leaves the guard's range at
+    # t = 0.028; the other five channels carry no disturbance.
+    "angle_guard_abort": {"disturbances": {
+        **dict.fromkeys(("pitch", "yaw", "x", "y", "z"), {"type": "none"}),
+        "roll": {"type": "step", "value": 200.0, "onset": 0.0}},
+        "initial_state": [1.45] + [0.0] * 11, "sim": {"duration": 0.1}},
     "sinusoid": _everywhere({"type": "sinusoid", "amplitude": 0.5, "omega": 20.0,
                              "phase": 0.3}),
     "step": _everywhere({"type": "step", "value": 0.5, "onset": 0.2}),

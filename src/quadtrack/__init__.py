@@ -4,19 +4,13 @@ Output-feedback command-filtered backstepping on all six channels, with a
 nonlinear disturbance observer and a high-gain observer per channel, a
 12-state rigid-body plant, and a fixed-step integration engine with CSV
 trace output.
+
+The root exports what configures a run, runs it and reads its outputs back,
+and the errors a run raises. The law's leaves, the integrator, the generators
+and the airframe model functions are imported from their own modules.
 """
 
-from .attitude import attitude_torque
-from .channel import (
-    ChannelGains,
-    channel_errors,
-    command_filter_derivative,
-    do_derivative,
-    do_estimate,
-    first_order_filter_derivative,
-    hgo_derivative,
-    position_virtual_control,
-)
+from .channel import ChannelGains
 from .disturbances import (
     BandLimitedNoise,
     GaussianNoise,
@@ -25,18 +19,13 @@ from .disturbances import (
     Sinusoid,
     Step,
     UniformNoise,
-    make_generator,
-    noise_boundary_values,
-    noise_draw_size,
 )
 from .engine import (
     COLUMNS,
-    ClosedLoop,
     Metrics,
     SimLog,
     compute_rmse,
     read_trace,
-    rk4_step,
     run_scenario,
     write_summary,
     write_trace,
@@ -52,21 +41,10 @@ from .scenario import (
     CHANNELS,
     Scenario,
     load_scenario,
-    reference_trajectory,
     scenario_digest,
     scenario_from_dict,
     scenario_to_dict,
-    waypoint_trajectory,
 )
-from .vehicle import (
-    QuadrotorParams,
-    acceleration_from_attitude,
-    attitude_coupling,
-    attitude_input_gain,
-    extract_thrust_and_attitude,
-    mix_inputs_to_rotor_speeds,
-    residual_speed,
-    state_derivative,
-)
+from .vehicle import QuadrotorParams
 
 __version__ = "0.1.0"

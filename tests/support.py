@@ -2,17 +2,16 @@
 
 import numpy as np
 
-from quadtrack import (
-    ChannelGains,
-    QuadrotorParams,
-    attitude_torque,
+from quadtrack import ChannelGains, QuadrotorParams
+from quadtrack.attitude import attitude_torque
+from quadtrack.channel import (
     channel_errors,
     command_filter_derivative,
     do_derivative,
     do_estimate,
     first_order_filter_derivative,
-    rk4_step,
 )
+from quadtrack.engine import rk4_step
 
 
 def rotor_speeds_to_inputs(params: QuadrotorParams, w):

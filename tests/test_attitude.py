@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtrack import (
-    ChannelGains,
-    QuadrotorParams,
-    attitude_coupling,
-    attitude_input_gain,
-    attitude_torque,
+from quadtrack import ChannelGains, QuadrotorParams
+from quadtrack.attitude import attitude_torque
+from quadtrack.channel import (
     channel_errors,
     first_order_filter_derivative,
     position_virtual_control,
 )
+from quadtrack.vehicle import attitude_coupling, attitude_input_gain
 from support import simulate_roll_regulation
 
 PARAMS = QuadrotorParams()

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from quadtrack import (
+from quadtrack.channel import (
     command_filter_derivative,
     do_derivative,
     do_estimate,
     first_order_filter_derivative,
     hgo_derivative,
     position_virtual_control,
-    rk4_step,
 )
+from quadtrack.engine import rk4_step
 
 DT = 1e-3
 

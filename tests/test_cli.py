@@ -455,8 +455,9 @@ def _module(*args, cwd):
 _CAPPED_RUN = """
 import resource, sys, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32))
-from quadtrack import load_scenario, make_generator
+from quadtrack import load_scenario
 from quadtrack.cli import main
+from quadtrack.disturbances import make_generator
 code = main(sys.argv[1:])
 sc = load_scenario(sys.argv[3])
 tracemalloc.start()

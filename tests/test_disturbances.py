@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 from quadtrack import (
     CHANNELS,
     BandLimitedNoise,
-    ClosedLoop,
     GaussianNoise,
     NoDisturbance,
     Ramp,
     Sinusoid,
     Step,
     UniformNoise,
-    make_generator,
-    noise_boundary_values,
-    noise_draw_size,
     scenario_from_dict,
 )
 from quadtrack import disturbances, engine
+from quadtrack.disturbances import make_generator, noise_boundary_values, noise_draw_size
+from quadtrack.engine import ClosedLoop
 from quadtrack.scenario import STEP_COUNT_RTOL
 
 

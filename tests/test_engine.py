@@ -19,31 +19,30 @@ from hypothesis.extra.numpy import arrays
 from quadtrack import (
     CHANNELS,
     COLUMNS,
-    ClosedLoop,
     Metrics,
     NonFiniteError,
     QuadrotorParams,
     Scenario,
     SimLog,
     SimulationError,
-    acceleration_from_attitude,
-    attitude_coupling,
-    attitude_input_gain,
     compute_rmse,
-    do_derivative,
-    hgo_derivative,
     read_trace,
-    residual_speed,
-    rk4_step,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    state_derivative,
     write_summary,
     write_trace,
 )
 from quadtrack import engine, traceformat
-from quadtrack.engine import PLANT_DIM, RIG_SIZE, STATE_DIM
+from quadtrack.channel import do_derivative, hgo_derivative
+from quadtrack.engine import PLANT_DIM, RIG_SIZE, STATE_DIM, ClosedLoop, rk4_step
+from quadtrack.vehicle import (
+    acceleration_from_attitude,
+    attitude_coupling,
+    attitude_input_gain,
+    residual_speed,
+    state_derivative,
+)
 
 
 class TestRk4:

@@ -6,16 +6,18 @@ import pytest
 
 from quadtrack import (
     AngleGuardError,
-    ClosedLoop,
     DenominatorTooSmallError,
     NonFiniteError,
     QuadrotorParams,
     Scenario,
+)
+from quadtrack.engine import ClosedLoop
+from quadtrack.vehicle import (
+    MIN_EXTRACTION_DENOMINATOR,
     extract_thrust_and_attitude,
     mix_inputs_to_rotor_speeds,
     state_derivative,
 )
-from quadtrack.vehicle import MIN_EXTRACTION_DENOMINATOR
 
 PARAMS = QuadrotorParams()
 HOVER = (PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)

@@ -8,13 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadtrack import (
-    CHANNELS,
-    Scenario,
-    make_generator,
-    run_scenario,
-    scenario_from_dict,
-)
+from quadtrack import CHANNELS, Scenario, run_scenario, scenario_from_dict
+from quadtrack.disturbances import make_generator
 
 
 class TestStockMission:

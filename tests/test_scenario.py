@@ -26,15 +26,13 @@ from quadtrack import (
     Step,
     UniformNoise,
     load_scenario,
-    make_generator,
-    noise_draw_size,
-    reference_trajectory,
     run_scenario,
     scenario_digest,
     scenario_from_dict,
     scenario_to_dict,
-    waypoint_trajectory,
 )
+from quadtrack.disturbances import make_generator, noise_draw_size
+from quadtrack.scenario import reference_trajectory, waypoint_trajectory
 
 
 class TestDefaults:

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtrack import (
-    DenominatorTooSmallError,
-    NonFiniteError,
-    QuadrotorParams,
+from quadtrack import DenominatorTooSmallError, NonFiniteError, QuadrotorParams
+from quadtrack import vehicle
+from quadtrack.vehicle import (
     acceleration_from_attitude,
     attitude_coupling,
     attitude_input_gain,
@@ -18,7 +17,6 @@ from quadtrack import (
     residual_speed,
     state_derivative,
 )
-from quadtrack import vehicle
 from support import rotor_speeds_to_inputs
 
 PARAMS = QuadrotorParams()

@@ -47,6 +47,11 @@ MIN_EXTRACTION_DENOMINATOR = 0.1
 _RANGES = dict.fromkeys(("g", "m", "l", "b", "d", "Ir", "Ix", "Iy", "Iz"), lambda v: v > 0.0)
 
 
+def _gain_over(top: float):
+    """Range of an inertia: > 0, with the input gain top / inertia finite and > 0."""
+    return lambda v: v > 0.0 and 0.0 < top / v < math.inf
+
+
 class MixResult(NamedTuple):
     speeds: Tuple[float, float, float, float]  # (w1, w2, w3, w4) [rad/s]
     clamped: bool  # True when a negative squared speed had to be zeroed
@@ -54,7 +59,11 @@ class MixResult(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadrotorParams:
-    """Physical constants of the airframe (defaults: 0.65 kg cross frame), each finite and > 0."""
+    """Physical constants of the airframe (defaults: 0.65 kg cross frame), each finite and > 0.
+
+    The input gains l/Ix, l/Iy and 1/Iz must be finite and > 0 too: the torque law divides
+    by them.
+    """
 
     g: float = 9.81          # gravity [m/s^2]
     m: float = 0.650         # mass [kg]
@@ -67,7 +76,9 @@ class QuadrotorParams:
     Iz: float = 1.3e-3       # airframe inertia, yaw [kg m^2]
 
     def __post_init__(self):
-        require_fields(self, **_RANGES)
+        # l is checked before the inertias, so their ranges may divide it.
+        require_fields(self, **_RANGES | {"Ix": _gain_over(self.l), "Iy": _gain_over(self.l),
+                                          "Iz": _gain_over(1.0)})
 
     @cached_property
     def _axis_rows(self):

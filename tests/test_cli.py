@@ -79,6 +79,21 @@ class TestRun:
         bad.write_text(json.dumps({"sim": {"dt": -1.0}}))
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("params, field", [
+        ({"l": 5e-324, "Ix": 10.0}, "Ix"), ({"l": 5e-324, "Iy": 10.0}, "Iy"),
+        ({"Iz": 1e-310}, "Iz"), ({"l": 1e308, "Ix": 1e-300}, "Ix")],
+        ids=["roll-underflow", "pitch-underflow", "yaw-overflow", "roll-overflow"])
+    def test_input_gain_out_of_range_exits_2_without_traceback(self, tmp_path, capsys, params,
+                                                               field):
+        # The torque law divides by l/Ix, l/Iy and 1/Iz; each must be finite and > 0.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"params": params}))
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"scenario error: bad params: QuadrotorParams.{field} out of range: {params[field]!r}\n")
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -204,6 +204,11 @@ class TestValidationErrors:
             {"trajectory": {"type": "waypoints", "points": [[0, _HUGE, 0, 1]]}},
             {"sim": {"duration": 1e308}},  # duration/dt overflows to inf
             {"gains": {"roll": {"eps": 1e-200}}},  # eps * eps underflows to 0
+            # Input gains l/Ix, l/Iy and 1/Iz that underflow to 0 or overflow to inf.
+            {"params": {"l": 5e-324, "Ix": 10.0}},
+            {"params": {"l": 5e-324, "Iy": 10.0}},
+            {"params": {"Iz": 1e-310}},
+            {"params": {"l": 1e308, "Ix": 1e-300}},
             # Step or noise-draw counts above sys.maxsize, which no run can allocate.
             {"sim": {"dt": 1e-300, "duration": 1.0}},
             {"sim": {"duration": 0.01}, "disturbances": {"roll": {

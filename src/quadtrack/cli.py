@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .engine import run_scenario, write_summary, write_trace
-from .errors import ScenarioError, SimulationError
+from .errors import ScenarioError, SimulationError, quoted
 from .scenario import load_scenario, scenario_from_dict, scenario_to_dict
 
 EXIT_OK = 0
@@ -89,11 +89,11 @@ def _run_command(args) -> int:
 
 def _parse_vary(vary: str):
     if "=" not in vary:
-        raise ScenarioError(f"--vary needs PATH=V1,V2,..., got {vary!r}")
+        raise ScenarioError(f"--vary needs PATH=V1,V2,..., got {quoted(vary)}")
     path, _, raw_values = vary.partition("=")
     keys = path.strip().split(".")
     if not all(keys):
-        raise ScenarioError(f"--vary has an empty segment in its parameter path: {vary!r}")
+        raise ScenarioError(f"--vary has an empty segment in its parameter path: {quoted(vary)}")
     values = []
     for piece in raw_values.split(","):
         piece = piece.strip()
@@ -109,7 +109,7 @@ def _set_path(d: dict, keys, value):
     for key in keys[:-1]:
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
-            raise ScenarioError(f"cannot descend into scenario path {'.'.join(keys)}")
+            raise ScenarioError(f"cannot descend into scenario path {quoted('.'.join(keys))}")
     node[keys[-1]] = value
 
 
@@ -120,7 +120,7 @@ def _sweep_command(args) -> int:
         names = ["_".join(keys) + f"_{value}" for value in values]
         shared = sorted({name for name in names if names.count(name) > 1})
         if shared:
-            raise ScenarioError(f"--vary values share a member directory: {', '.join(shared)}")
+            raise ScenarioError(f"--vary values share a member directory: {quoted(shared)}")
         scenarios = []
         for value in values:
             sc_dict = copy.deepcopy(base)

@@ -14,6 +14,12 @@ class ScenarioError(SimulationError, ValueError):
     """Scenario file or configuration is invalid."""
 
 
+def quoted(value) -> str:
+    """repr(value) for an error message, cut after its first 500 characters with "..."."""
+    text = repr(value)
+    return text if len(text) <= 500 else text[:500] + "..."
+
+
 def require_fields(obj, **in_range):
     """ScenarioError("Class.field out of range: value") for the first field of obj that fails.
 
@@ -33,8 +39,8 @@ def require_fields(obj, **in_range):
             where = f"{type(obj).__name__}.{name}"
             while entries and (refused := _refused(entries, value)):
                 key, value, entries = refused  # name the entry, not the whole list or table
-                where += f"[{key!r}]"
-            raise ScenarioError(f"{where} out of range: {value!r}")
+                where += f"[{quoted(key)}]"
+            raise ScenarioError(f"{where} out of range: {quoted(value)}")
 
 
 @functools.cache

@@ -67,7 +67,7 @@ from .disturbances import (
     UniformNoise,
     noise_draw_size,
 )
-from .errors import ScenarioError, require_fields
+from .errors import ScenarioError, quoted, require_fields
 from .vehicle import ANGLE_LIMIT, QuadrotorParams
 
 CHANNELS = ("roll", "pitch", "yaw", "x", "y", "z")
@@ -217,7 +217,7 @@ _SECTIONS = {"params", "gains", "trajectory", "disturbances", "psi_des", "initia
 
 def _object(raw, what: str) -> dict:
     if not isinstance(raw, dict):
-        raise ScenarioError(f"{what} must be an object, got {raw!r}")
+        raise ScenarioError(f"{what} must be an object, got {quoted(raw)}")
     return raw
 
 
@@ -225,7 +225,7 @@ def _checked(raw, names, what: str) -> dict:
     """raw, once it is an object whose fields are all in names."""
     for name in _object(raw, what):
         if name not in names:
-            raise ScenarioError(f"unknown {what} field: {name!r}")
+            raise ScenarioError(f"unknown {what} field: {quoted(name)}")
     return raw
 
 
@@ -241,7 +241,7 @@ def _tagged(table: dict, raw, key: str, what: str):
     """table's entry for the tag raw[key]."""
     tag = _object(raw, what).get(key)
     if not (type(tag) is str and tag in table):
-        raise ScenarioError(f"unknown {what} {key}: {tag!r}")
+        raise ScenarioError(f"unknown {what} {key}: {quoted(tag)}")
     return table[tag]
 
 

@@ -15,6 +15,7 @@ from test_scenario import _floats, _valid_overrides
 import quadtrack
 from quadtrack import CHANNELS, cli, read_trace
 from quadtrack.cli import main
+from quadtrack.errors import quoted
 
 
 @pytest.fixture
@@ -392,6 +393,37 @@ class TestJsonLimits:
         # Kept as a string, as any piece that is no JSON, which the field refuses.
         assert capsys.readouterr().err.startswith("scenario error: Scenario.")
         assert not out.exists()
+
+
+class TestLongRefusals:
+    # A refused value is quoted by its first 500 characters, so the error stays one short line.
+    def test_quoted_cuts_a_repr_after_500_characters(self):
+        assert quoted("a" * 498) == repr("a" * 498)  # 500 characters with its quotes
+        assert quoted("a" * 499) == repr("a" * 499)[:500] + "..."
+
+    @pytest.mark.parametrize("vary, start", [
+        (f"psi_des={_DEEP[:50_000]}", "Scenario.psi_des out of range: '[[["),
+        (f"disturbances.roll.kind={_DEEP[:50_000]}", "unknown disturbances.roll kind: '[[["),
+        (f"psi_des={_DEEP[:50_000]},{_DEEP[:50_000]}",
+         "--vary values share a member directory: ['psi_des_[[["),
+    ], ids=["field", "tag", "shared-directory"])
+    def test_long_vary_value_exits_2_with_a_short_line(self, tmp_path, short_scenario, capsys,
+                                                       vary, start):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", str(short_scenario), "--vary", vary,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: {start}") and err.endswith("...\n")
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert not out.exists()
+
+    def test_long_field_name_exits_2_with_a_short_line(self, tmp_path, capsys):
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"sim": {"x" * 50_000: 1}}))
+        assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: unknown sim field: 'xxx") and err.endswith("...\n")
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
 
 
 # A valid override of 1-30 steps with any toggles, with or without an initial state: entries

@@ -61,8 +61,7 @@ class MixResult(NamedTuple):
 class QuadrotorParams:
     """Physical constants of the airframe (defaults: 0.65 kg cross frame), each finite and > 0.
 
-    The input gains l/Ix, l/Iy and 1/Iz must be finite and > 0 too: the torque law divides
-    by them.
+    The input gains l/Ix, l/Iy and 1/Iz, which the torque law divides by, are finite and > 0 too.
     """
 
     g: float = 9.81          # gravity [m/s^2]

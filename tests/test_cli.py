@@ -91,8 +91,8 @@ class TestRun:
         bad.write_text(json.dumps({"params": params}))
         out = tmp_path / "o"
         assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"scenario error: bad params: QuadrotorParams.{field} out of range: {params[field]!r}\n")
+        message = f"bad params: QuadrotorParams.{field} out of range: {params[field]!r}"
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
         assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):

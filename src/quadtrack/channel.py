@@ -96,7 +96,8 @@ def channel_errors(
 
 
 def first_order_filter_derivative(sigma: float, nu: float, tau: float) -> float:
-    """Lag derivative (nu - sigma)/tau; stability needs tau in (0, 1]."""
+    """Lag derivative (nu - sigma)/tau, a stable lag for any tau > 0.  ChannelGains admits tau
+    in (0, 1]; that range does not keep a fixed-step integration of the lag stable."""
     return (nu - sigma) / tau
 
 

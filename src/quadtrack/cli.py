@@ -42,12 +42,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override sim.seed")
 
     sweep = sub.add_parser("sweep", help="run one scenario per value of a varied parameter")
-    sweep.add_argument("--scenario", required=True)
+    sweep.add_argument("--scenario", required=True,
+                       help="base scenario JSON file ({} = all defaults)")
     sweep.add_argument("--vary", required=True, action="append", metavar="PATH=V1,V2,...",
                        help="dotted scenario path and comma-separated values, "
                             "e.g. gains.roll.k=100,120,140")
-    sweep.add_argument("--out", required=True)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--out", required=True,
+                       help="output directory: one subdirectory per value, and sweep.json")
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per member; 1 runs in this process")
     return parser
 
 

@@ -261,7 +261,7 @@ class ClosedLoop:
         g0, g1, g2 = self._att_gain
         input_terms = (g0 * u0, g1 * u1, g2 * u2, 0.0, 0.0, 0.0)
 
-        rows = plant.tolist()
+        rows = list(plant)
         for (base, out, b1, b2, eps, lam), f, nom, fb, inp in zip(
                 self._observers, (f0, f1, f2, f3, f4, f5), nominal, feedback, input_terms):
             dxh1, dxh2 = hgo_derivative(st[base + 3], st[base + 4], b1, b2, eps, st[out],
@@ -321,7 +321,7 @@ class Metrics:
     window: Optional[Tuple[float, float]]  # None when no row was logged
     clamp_events: int = 0  # derivative evaluations whose applied mix clamped
     completed: bool = True
-    abort: Optional[dict] = None
+    abort: Optional[dict] = None  # reason, t (start of the aborted step) and detail
 
 
 class RunResult(NamedTuple):
@@ -371,7 +371,9 @@ def run_scenario(sc: Scenario) -> RunResult:
     Deterministic given the scenario (seeds included).  A guard violation
     aborts with the partial log and the diagnostic recorded in the metrics;
     no exception escapes for runtime guards, and no numpy overflow or
-    invalid-value warning precedes the abort.
+    invalid-value warning precedes the abort.  The abort's t is the start of
+    the step in which a guard fired; its detail may name the RK4 stage time,
+    as "t=0.029000" for an angle guard in the last stage of the step at 0.028.
     """
     loop = ClosedLoop(sc)
     dt = sc.dt

@@ -52,8 +52,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .channel import ChannelGains
 from .disturbances import (
     BandLimitedNoise,
@@ -107,20 +105,23 @@ def reference_trajectory(t: float):
 def waypoint_trajectory(points: Sequence[Sequence[float]]):
     """Piecewise-linear trajectory through (t, x, y, z) rows.
 
-    Times must be strictly increasing; the position is held constant before
-    the first and after the last waypoint.  Each call makes one bisection
-    for all three axes into a table of per-segment slopes and returns what
-    np.interp returns on each axis, bit for bit: the waypoint itself at a
-    waypoint time and slope * (t - t0) + p0 inside a segment.  A table where
-    a segment's time span or per-axis difference overflows is rejected, so
-    that value is never NaN and np.interp's NaN retry never applies.
+    Each entry is read as float(v), and times must be strictly increasing;
+    the position is held constant before the first and after the last
+    waypoint.  Each call makes one bisection for all three axes into a table
+    of per-segment slopes and returns what np.interp returns on each axis,
+    bit for bit: the waypoint itself at a waypoint time and
+    slope * (t - t0) + p0 inside a segment.  A table where a segment's time
+    span or per-axis difference overflows is rejected, so that value is never
+    NaN and np.interp's NaN retry never applies.
     """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] < 1:
+    try:
+        rows = [[float(v) for v in row] for row in points]
+    except TypeError:  # points or a row is no sequence, or an entry no number
+        rows = None
+    if not rows or any(len(row) != 4 for row in rows):
         raise ValueError("waypoints must be a non-empty sequence of (t, x, y, z) rows")
-    if not np.isfinite(arr).all():
+    if not all(math.isfinite(v) for row in rows for v in row):
         raise ValueError("waypoints must be finite")
-    rows = arr.tolist()
     # Per segment j: row[j+1] - row[j], the time span then the three axis differences.
     steps = [[b - a for a, b in zip(r0, r1)] for r0, r1 in zip(rows, rows[1:])]
     if any(step[0] <= 0.0 for step in steps):

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DenominatorTooSmallError, require_fields, require_finite
 
 # Roll and pitch must stay 0.05 rad inside +-pi/2 (the model's validity range) or the run aborts.
@@ -153,12 +151,13 @@ def state_derivative(
     inputs: Sequence[float],
     omega_r: float,
     disturbance: Sequence[float] = (0.0,) * 6,
-) -> np.ndarray:
-    """Time derivative of the 12-dimensional state.
+) -> Tuple[float, ...]:
+    """Time derivative of the 12-dimensional state, as a 12-tuple in state order.
 
     omega_r is the residual propeller speed producing gyroscopic coupling in
     the roll and pitch rows.  Each acceleration row is the model term plus
-    its entry of the disturbance vector (angular first, then translational).
+    its entry of the disturbance vector (angular first, then translational);
+    the row of each angle and position is its rate, read from the state.
     """
     phi, dphi, theta, dtheta, psi, dpsi, _, vx, _, vy, _, vz = state
     up, uphi, utheta, upsi = inputs
@@ -172,24 +171,14 @@ def state_derivative(
     ax, ay, az = acceleration_from_attitude(params, phi, theta, psi, up)
     d_phi, d_theta, d_psi, d_x, d_y, d_z = disturbance
     rates = (dphi, dtheta, dpsi)
-    return np.array(
-        [
-            dphi,
-            attitude_coupling("roll", params, rates, omega_r)
-            + attitude_input_gain("roll", params) * uphi + d_phi,
-            dtheta,
-            attitude_coupling("pitch", params, rates, omega_r)
-            + attitude_input_gain("pitch", params) * utheta + d_theta,
-            dpsi,
-            attitude_coupling("yaw", params, rates, omega_r)
-            + attitude_input_gain("yaw", params) * upsi + d_psi,
-            vx,
-            ax + d_x,
-            vy,
-            ay + d_y,
-            vz,
-            az + d_z,
-        ]
+    return (
+        dphi, attitude_coupling("roll", params, rates, omega_r)
+        + attitude_input_gain("roll", params) * uphi + d_phi,
+        dtheta, attitude_coupling("pitch", params, rates, omega_r)
+        + attitude_input_gain("pitch", params) * utheta + d_theta,
+        dpsi, attitude_coupling("yaw", params, rates, omega_r)
+        + attitude_input_gain("yaw", params) * upsi + d_psi,
+        vx, ax + d_x, vy, ay + d_y, vz, az + d_z,
     )
 
 

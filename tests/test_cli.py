@@ -514,6 +514,22 @@ print(code, tracemalloc.get_traced_memory()[1])
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_help_exits_0_and_lists_every_flag_with_its_help(self, command, capsys,
+                                                             monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no help string wraps
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        sub = cli._build_parser()._subparsers._group_actions[0].choices[command]
+        flags = [a for a in sub._actions if a.dest != "help"]
+        assert flags
+        for action in flags:
+            assert action.help, action.option_strings
+            assert f"  {action.option_strings[0]} " in out
+            assert action.help in out
+
     def test_run_exits_0_and_writes_outputs(self, tmp_path):
         cfg = tmp_path / "short.json"
         cfg.write_text(json.dumps({"sim": {"duration": 0.01}}))

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import io
 import json
@@ -191,11 +192,42 @@ class TestClosedLoopDerivative:
         e1, e2 = fd_error(1e-3), fd_error(5e-4)
         assert e1 / e2 > 3.0  # second-order scaling (ratio ~4)
 
+    @pytest.mark.parametrize("sc", [
+        dataclasses.replace(Scenario(), duration=1.0),
+        scenario_from_dict({
+            "trajectory": {"type": "waypoints", "points": [[0, 0, 0, 1], [2, 1, 0, 1.5]]},
+            "disturbances": {ch: {"type": "noise", "kind": kind, **spec, "hold": 0.01}
+                             for ch, (kind, spec) in zip(CHANNELS, 2 * [
+                                 ("gaussian", {"sigma": 0.05}),
+                                 ("uniform", {"low": -0.1, "high": 0.1}),
+                                 ("band_limited", {"power": 1e-3, "inner_dt": 0.001})])},
+            "sim": {"duration": 1.0},
+        }),
+    ], ids=["stock", "waypoints-held-noise"])
+    def test_derivative_is_a_pure_function_of_t_and_state(self, sc):
+        # The module docstring's claim: evaluating elsewhere in between changes no bit.
+        def snapshot(loop):
+            attrs = {k: v for k, v in vars(loop).items() if k != "clamp_events"}
+            tables = [{s: copy.copy(getattr(v.__self__, s)) for s in v.__self__.__slots__}
+                      for v in loop._values]
+            return attrs, tables
+
+        loop = ClosedLoop(sc)
+        a = loop.initial_state()
+        a[:PLANT_DIM] += 0.01 * np.arange(PLANT_DIM)
+        first = loop.derivative(0.125, a)
+        before = snapshot(loop)
+        loop.signals(0.9, a + 0.01 * first)
+        rk4_step(loop.derivative, a + 0.02 * first, 0.5, sc.dt)
+        assert loop.derivative(0.125, a).tobytes() == first.tobytes()
+        assert ClosedLoop(sc).derivative(0.125, a).tobytes() == first.tobytes()
+        assert snapshot(loop) == before
+
     def test_free_fall_descends_monotonically(self):
         # plant-only sanity: zero inputs, vertical velocity only decreases
         p = QuadrotorParams()
         u = (0.0, 0.0, 0.0, 0.0)
-        f = lambda t, s: state_derivative(p, s, u, 0.0)
+        f = lambda t, s: np.asarray(state_derivative(p, s, u, 0.0))
         s = np.zeros(12)
         vz_prev = 0.0
         for i in range(500):

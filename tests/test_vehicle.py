@@ -46,7 +46,7 @@ class TestStateDerivative:
     def test_pure_yaw_torque(self):
         # U_psi equal to Iz gives exactly 1 rad/s^2 of yaw acceleration.
         u = (0.0, 0.0, 0.0, 1.3e-3)
-        ds = state_derivative(PARAMS, level_state(), u, 0.0)
+        ds = np.asarray(state_derivative(PARAMS, level_state(), u, 0.0))
         assert ds[5] == pytest.approx(1.0, rel=1e-12)
         assert ds[11] == pytest.approx(-PARAMS.g)
         others = [i for i in range(12) if i not in (5, 11)]
@@ -55,7 +55,7 @@ class TestStateDerivative:
     def test_disturbance_enters_acceleration_rows(self):
         d = (0.1, -0.2, 0.3, 0.4, -0.5, 0.6)
         u = (PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0)
-        ds = state_derivative(PARAMS, level_state(), u, 0.0, d)
+        ds = np.asarray(state_derivative(PARAMS, level_state(), u, 0.0, d))
         assert np.allclose(ds[[1, 3, 5, 7, 9, 11]], d)
         assert np.all(ds[[0, 2, 4, 6, 8, 10]] == 0.0)
 
@@ -77,11 +77,28 @@ class TestStateDerivative:
             ub = (up, *t2)
             uab = (up, *(t1 + t2))
             dab = tuple(a + b for a, b in zip(d1, d2))
-            lhs = state_derivative(PARAMS, s, uab, omega_r, dab) + state_derivative(
-                PARAMS, s, u0, omega_r)
-            rhs = state_derivative(PARAMS, s, ua, omega_r, d1) + state_derivative(
-                PARAMS, s, ub, omega_r, d2)
+            lhs = np.asarray(state_derivative(PARAMS, s, uab, omega_r, dab)) + np.asarray(
+                state_derivative(PARAMS, s, u0, omega_r))
+            rhs = np.asarray(state_derivative(PARAMS, s, ua, omega_r, d1)) + np.asarray(
+                state_derivative(PARAMS, s, ub, omega_r, d2))
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_returns_a_tuple_of_twelve_floats(self):
+        # The rows the array form of the plant held, same bits, as plain floats.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            state, torques, d = (rng.normal(0.0, 0.5, n).tolist() for n in (12, 3, 6))
+            up, omega_r = rng.uniform(0.0, 10.0), rng.normal(0.0, 20.0)
+            ds = state_derivative(PARAMS, state, (up, *torques), omega_r, d)
+            assert type(ds) is tuple and len(ds) == 12
+            assert all(type(v) is float for v in ds)
+            accel = [attitude_coupling(axis, PARAMS, state[1:6:2], omega_r)
+                     + attitude_input_gain(axis, PARAMS) * u + d_axis
+                     for axis, u, d_axis in zip(("roll", "pitch", "yaw"), torques, d)]
+            accel += [a + d_axis for a, d_axis in zip(
+                acceleration_from_attitude(PARAMS, *state[0:6:2], up), d[3:])]
+            want = np.array([row for pair in zip(state[1::2], accel) for row in pair])
+            assert np.asarray(ds).tobytes() == want.tobytes()
 
     def test_rejects_non_finite(self):
         u = (1.0, 0.0, 0.0, 0.0)
@@ -132,7 +149,7 @@ class TestPlantIsTheModel:
                     for axis, u, d_axis in zip(("roll", "pitch", "yaw"), torques, d)]
         accel = acceleration_from_attitude(PARAMS, phi, theta, psi, up)
         expected += [a + d_axis for a, d_axis in zip(accel, d[3:])]
-        ds = state_derivative(PARAMS, state, (up, *torques), omega_r, d)
+        ds = np.asarray(state_derivative(PARAMS, state, (up, *torques), omega_r, d))
         assert ds[1::2].tolist() == expected
 
 

@@ -24,8 +24,8 @@ the first pass mixed.  Two passes stop short of the fixed point: over the first
 and the residual speed by 7.9e-8 rad/s (yaw has no gyroscopic term).  The
 derivative stays a pure function of (t, state).
 
-Augmented state layout (48 entries): plant states 0..11, then one rig per
-channel in the order roll, pitch, yaw, x, y, z.
+The augmented state is a list of 48 floats (numpy holds the log): plant
+states 0..11, then one rig per channel in the order roll, pitch, yaw, x, y, z.
 
 ClosedLoop builds its per-rig constant tables once: the front half's (rig
 base, output index, p, tau, m1, m2, lam), the law's gain k and the
@@ -42,10 +42,11 @@ ClosedLoop is built, which is why __init__ may bind them.
 """
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,8 +141,8 @@ class ClosedLoop:
             for idx, ch in enumerate(CHANNELS)
         )
 
-    def initial_state(self) -> np.ndarray:
-        """Augmented initial condition.
+    def initial_state(self) -> List[float]:
+        """Augmented initial condition, a new list of STATE_DIM floats.
 
         Position command filters start on the trajectory; attitude command
         filters start at the measured angle, because their references are
@@ -150,23 +151,23 @@ class ClosedLoop:
         the measured outputs with zero rate, and the disturbance observers
         start with a zero estimate.
         """
-        a = np.zeros(STATE_DIM)
-        a[:PLANT_DIM] = self.scenario.initial_state
+        a = [float(v) for v in self.scenario.initial_state]
         refs0 = self._traj(0.0)
-        for i, (base, out, p, _, _, _, lam) in enumerate(self._fronts):
+        for i, (_, out, p, _, _, _, lam) in enumerate(self._fronts):
             measured = a[out]
             ref = measured if i < 3 else refs0[i - 3]
             _, _, nu = channel_errors(p, measured, 0.0, ref, 0.0, 0.0)
             fb2 = a[out + 1] if self._tsf else 0.0
             # The lag filter starts at its input, gamma at a zero estimate.
-            a[base:base + RIG_SIZE] = (ref, 0.0, nu, measured, 0.0, -lam * fb2)
+            a += (ref, 0.0, nu, measured, 0.0, -lam * fb2)
         return a
 
-    def derivative(self, t: float, a) -> np.ndarray:
+    def derivative(self, t: float, a: Sequence[float]) -> List[float]:
+        """da/dt at (t, a) as a new list of STATE_DIM floats; a is read, not changed."""
         return self._eval(t, a, collect=False)
 
-    def signals(self, t: float, a):
-        """(derivative, log row in COLUMNS order) at (t, a)."""
+    def signals(self, t: float, a: Sequence[float]):
+        """(derivative, log row in COLUMNS order) at (t, a), two new lists of floats."""
         return self._eval(t, a, collect=True)
 
     def _front(self, rig, st, ref):
@@ -196,8 +197,7 @@ class ClosedLoop:
                 attitude_coupling("yaw", params, rates, omega_r),
                 *acceleration_from_attitude(params, outputs[0], outputs[1], outputs[2], up))
 
-    def _eval(self, t, a, collect):
-        st = a.tolist() if isinstance(a, np.ndarray) else list(a)
+    def _eval(self, t, st, collect):
         if abs(st[0]) >= ANGLE_LIMIT or abs(st[2]) >= ANGLE_LIMIT:
             raise AngleGuardError(t, st[0], st[2])
         # Checked whole before any leaf reads it: under oracle feedback no
@@ -261,14 +261,13 @@ class ClosedLoop:
         g0, g1, g2 = self._att_gain
         input_terms = (g0 * u0, g1 * u1, g2 * u2, 0.0, 0.0, 0.0)
 
-        rows = list(plant)
+        deriv = list(plant)
         for (base, out, b1, b2, eps, lam), f, nom, fb, inp in zip(
                 self._observers, (f0, f1, f2, f3, f4, f5), nominal, feedback, input_terms):
             dxh1, dxh2 = hgo_derivative(st[base + 3], st[base + 4], b1, b2, eps, st[out],
                                         nom, inp)
-            rows += (f[0], f[1], f[2], dxh1, dxh2,
-                     do_derivative(st[base + 5], lam, f[6], fb, inp))
-        deriv = np.array(rows)
+            deriv += (f[0], f[1], f[2], dxh1, dxh2,
+                      do_derivative(st[base + 5], lam, f[6], fb, inp))
         if not collect:
             return deriv
 
@@ -285,17 +284,18 @@ class ClosedLoop:
 def rk4_step(f, a, t, dt, k1=None):
     """One classical fourth-order Runge-Kutta step for da/dt = f(t, a).
 
-    Works for scalar or array states.  k1 may be passed in when f(t, a) is
-    already known; the engine reuses the evaluation that produced the log
-    row.
+    a and each f(t, x) are sequences of one length.  The stage states and the result are new
+    lists, x + half * k and x + (dt / 6.0) * (p + 2.0 * (q + r) + s) entry by entry: the
+    doubles of the float64 array formula.  k1 may be passed in when f(t, a) is already known;
+    the engine reuses the evaluation that produced the log row.
     """
     if k1 is None:
         k1 = f(t, a)
-    half = 0.5 * dt
-    k2 = f(t + half, a + half * k1)
-    k3 = f(t + half, a + half * k2)
-    k4 = f(t + dt, a + dt * k3)
-    return a + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    half, c = 0.5 * dt, dt / 6.0
+    k2 = f(t + half, [x + half * k for x, k in zip(a, k1, strict=True)])
+    k3 = f(t + half, [x + half * k for x, k in zip(a, k2, strict=True)])
+    k4 = f(t + dt, [x + dt * k for x, k in zip(a, k3, strict=True)])
+    return [x + c * (p + 2.0 * (q + r) + s) for x, p, q, r, s in zip(a, k1, k2, k3, k4, strict=True)]
 
 
 @dataclass
@@ -393,7 +393,7 @@ def run_scenario(sc: Scenario) -> RunResult:
             if i == n:
                 break
             a = rk4_step(loop.derivative, a, t, dt, k1=k1)
-            if not np.isfinite(a).all():
+            if not all(map(math.isfinite, a)):
                 raise NonFiniteError(f"state became non-finite during the step at t={t:.6f} s")
         except (AngleGuardError, DenominatorTooSmallError, NonFiniteError) as exc:
             abort = {"reason": type(exc).__name__, "t": t, "detail": str(exc)}

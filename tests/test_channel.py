@@ -97,24 +97,24 @@ class TestFirstOrderFilter:
 
     def test_matches_exponential_step_response(self):
         tau = 0.5
-        sigma = 0.0
-        f = lambda t, s: first_order_filter_derivative(s, 1.0, tau)
+        sigma = [0.0]
+        f = lambda t, s: [first_order_filter_derivative(s[0], 1.0, tau)]
         for i in range(500):
             sigma = rk4_step(f, sigma, i * DT, DT)
         exact = 1.0 - math.exp(-0.5 / tau)
-        assert sigma == pytest.approx(exact, abs=1e-4)
+        assert sigma[0] == pytest.approx(exact, abs=1e-4)
 
     def test_monotone_exponential_approach(self):
         tau = 0.2
-        sigma = 0.0
-        f = lambda t, s: first_order_filter_derivative(s, 1.0, tau)
-        prev = sigma
+        sigma = [0.0]
+        f = lambda t, s: [first_order_filter_derivative(s[0], 1.0, tau)]
+        prev = sigma[0]
         for i in range(2000):
             sigma = rk4_step(f, sigma, i * DT, DT)
             exact = 1.0 - math.exp(-(i + 1) * DT / tau)
-            assert sigma > prev
-            assert sigma == pytest.approx(exact, abs=1e-9)  # O(dt^4) accuracy
-            prev = sigma
+            assert sigma[0] > prev
+            assert sigma[0] == pytest.approx(exact, abs=1e-9)  # O(dt^4) accuracy
+            prev = sigma[0]
 
 
 class TestVirtualControlLaw:

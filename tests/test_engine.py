@@ -46,20 +46,47 @@ from quadtrack.vehicle import (
 )
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestRk4:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 48).flatmap(
+               lambda n: st.lists(st.lists(finite, min_size=n, max_size=n), min_size=5, max_size=5)),
+           st.floats(0.0, 0.01, exclude_min=True))
+    def test_entries_are_the_array_formulas_doubles(self, vectors, dt):
+        # The docstring's claim: stage states and result, entry by entry, are the doubles
+        # the float64 array formula gives, overflow to inf and nan included.
+        a, *ks = vectors
+        stages = []
+
+        def f(t, x):
+            stages.append(x)
+            return ks[len(stages) - 1]
+
+        result = rk4_step(f, a, 0.0, dt)
+        A, K1, K2, K3, K4 = (np.asarray(v) for v in vectors)
+        half = 0.5 * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [A, A + half * K1, A + half * K2, A + dt * K3]
+            stepped = A + (dt / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
+        assert [np.asarray(x).tobytes() for x in stages] == [x.tobytes() for x in expected]
+        assert np.asarray(result).tobytes() == stepped.tobytes()
+
     def test_constant_state(self):
-        assert rk4_step(lambda t, y: 0.0, 3.5, 0.0, 0.1) == 3.5
+        assert np.asarray(rk4_step(lambda t, y: [0.0], [3.5], 0.0, 0.1)).tobytes() == \
+            np.asarray([3.5]).tobytes()
 
     def test_exponential_one_step(self):
-        y1 = rk4_step(lambda t, y: y, 1.0, 0.0, 0.1)
+        (y1,) = rk4_step(lambda t, y: y, [1.0], 0.0, 0.1)
         assert abs(y1 - math.exp(0.1)) < 3e-7
 
     def test_fourth_order_convergence(self):
         def global_error(h):
-            y = 1.0
+            y = [1.0]
             for i in range(int(round(1.0 / h))):
                 y = rk4_step(lambda t, s: s, y, i * h, h)
-            return abs(y - math.e)
+            return abs(y[0] - math.e)
 
         ratio = global_error(1e-2) / global_error(5e-3)
         assert 14.0 <= ratio <= 18.0
@@ -74,7 +101,22 @@ class TestRk4:
 
     def test_accepts_precomputed_first_stage(self):
         f = lambda t, y: y
-        assert rk4_step(f, 1.0, 0.0, 0.1, k1=f(0.0, 1.0)) == rk4_step(f, 1.0, 0.0, 0.1)
+        assert np.asarray(rk4_step(f, [1.0], 0.0, 0.1, k1=f(0.0, [1.0]))).tobytes() == \
+            np.asarray(rk4_step(f, [1.0], 0.0, 0.1)).tobytes()
+
+
+stock_and_held_noise = pytest.mark.parametrize("sc", [
+    dataclasses.replace(Scenario(), duration=1.0),
+    scenario_from_dict({
+        "trajectory": {"type": "waypoints", "points": [[0, 0, 0, 1], [2, 1, 0, 1.5]]},
+        "disturbances": {ch: {"type": "noise", "kind": kind, **spec, "hold": 0.01}
+                         for ch, (kind, spec) in zip(CHANNELS, 2 * [
+                             ("gaussian", {"sigma": 0.05}),
+                             ("uniform", {"low": -0.1, "high": 0.1}),
+                             ("band_limited", {"power": 1e-3, "inner_dt": 0.001})])},
+        "sim": {"duration": 1.0},
+    }),
+], ids=["stock", "waypoints-held-noise"])
 
 
 def hover_scenario(duration=0.2):
@@ -111,7 +153,7 @@ class TestClosedLoopDerivative:
             "initial_state": list(sc_on.initial_state),
             "sim": {"duration": 0.2},
         })
-        a = ClosedLoop(sc_on).initial_state()
+        a = np.asarray(ClosedLoop(sc_on).initial_state())
         rng = np.random.default_rng(31)
         a[:12] += rng.normal(0.0, 0.05, 12)
         for ch in ("x", "y", "z"):
@@ -119,8 +161,8 @@ class TestClosedLoopDerivative:
             a[base:base + 5] += rng.normal(0.0, 0.05, 5)
             lam = sc_on.gains[ch].lam
             a[base + 5] = -lam * a[base + 4]  # gamma forcing dhat == 0
-        d_on = ClosedLoop(sc_on).derivative(0.05, a.copy())
-        d_off = ClosedLoop(sc_off).derivative(0.05, a.copy())
+        d_on = ClosedLoop(sc_on).derivative(0.05, a.tolist())
+        d_off = ClosedLoop(sc_off).derivative(0.05, a.tolist())
         assert np.array_equal(d_on, d_off)
 
     @staticmethod
@@ -130,7 +172,7 @@ class TestClosedLoopDerivative:
         sc = dataclasses.replace(Scenario(), duration=0.2)
         oracle = dataclasses.replace(sc, true_state_feedback=True)
         rng = np.random.default_rng(5)
-        a = ClosedLoop(sc).initial_state()
+        a = np.asarray(ClosedLoop(sc).initial_state())
         a += rng.normal(0.0, 0.05, a.shape)
         for i in range(len(CHANNELS)):
             base = PLANT_DIM + RIG_SIZE * i
@@ -139,6 +181,7 @@ class TestClosedLoopDerivative:
 
     def test_oracle_feedback_is_transparent_when_estimates_are_exact(self):
         loop, oracle, a = self.oracle_pair()
+        a = a.tolist()
         assert np.array_equal(loop.derivative(0.05, a), oracle.derivative(0.05, a))
 
     def test_oracle_feedback_reads_true_states(self):
@@ -147,7 +190,7 @@ class TestClosedLoopDerivative:
             base = PLANT_DIM + RIG_SIZE * i
             a[base + 3:base + 5] += 0.01
         # the control laws read different feedback, so the plant sees other inputs
-        d_est, d_true = loop.derivative(0.05, a), oracle.derivative(0.05, a)
+        d_est, d_true = loop.derivative(0.05, a.tolist()), oracle.derivative(0.05, a.tolist())
         assert not np.array_equal(d_est[:PLANT_DIM], d_true[:PLANT_DIM])
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -184,26 +227,47 @@ class TestClosedLoopDerivative:
             t += sc.dt
 
         def fd_error(dt):
-            a2 = rk4_step(loop.derivative, a, t, dt)
-            fd = (a2 - a) / dt
-            mid = loop.derivative(t + 0.5 * dt, 0.5 * (a + a2))
+            a0, a2 = np.asarray(a), np.asarray(rk4_step(loop.derivative, a, t, dt))
+            fd = (a2 - a0) / dt
+            mid = loop.derivative(t + 0.5 * dt, (0.5 * (a0 + a2)).tolist())
             return np.linalg.norm(fd - mid)
 
         e1, e2 = fd_error(1e-3), fd_error(5e-4)
         assert e1 / e2 > 3.0  # second-order scaling (ratio ~4)
 
-    @pytest.mark.parametrize("sc", [
-        dataclasses.replace(Scenario(), duration=1.0),
-        scenario_from_dict({
-            "trajectory": {"type": "waypoints", "points": [[0, 0, 0, 1], [2, 1, 0, 1.5]]},
-            "disturbances": {ch: {"type": "noise", "kind": kind, **spec, "hold": 0.01}
-                             for ch, (kind, spec) in zip(CHANNELS, 2 * [
-                                 ("gaussian", {"sigma": 0.05}),
-                                 ("uniform", {"low": -0.1, "high": 0.1}),
-                                 ("band_limited", {"power": 1e-3, "inner_dt": 0.001})])},
-            "sim": {"duration": 1.0},
-        }),
-    ], ids=["stock", "waypoints-held-noise"])
+    @stock_and_held_noise
+    def test_state_api_returns_new_lists_of_floats(self, sc):
+        # initial_state, derivative and signals speak lists of Python floats; no call
+        # changes the list it reads, and each returns a new one, so k1..k4 never alias.
+        def floats(values, size):
+            return type(values) is list and len(values) == size and \
+                all(type(v) is float for v in values)
+
+        loop = ClosedLoop(sc)
+        a = loop.initial_state()
+        assert floats(a, STATE_DIM) and loop.initial_state() is not a
+        a = rk4_step(loop.derivative, a, 0.0, sc.dt)
+        before = np.asarray(a).tobytes()
+        deriv = loop.derivative(0.1, a)
+        signals = loop.signals(0.1, a)
+        assert floats(deriv, STATE_DIM)
+        assert floats(signals[0], STATE_DIM) and floats(signals[1], len(COLUMNS))
+        assert np.asarray(a).tobytes() == before
+
+        stages, ks = [], []
+
+        def f(t, x):
+            stages.append(x)
+            ks.append(loop.derivative(t, x))
+            return ks[-1]
+
+        new = rk4_step(f, a, 0.1, sc.dt)
+        assert np.asarray(a).tobytes() == before
+        assert stages[0] is a and floats(new, STATE_DIM)
+        objects = [a, new, deriv, *signals, *ks, *stages[1:]]
+        assert len({id(v) for v in objects}) == len(objects) == 12
+
+    @stock_and_held_noise
     def test_derivative_is_a_pure_function_of_t_and_state(self, sc):
         # The module docstring's claim: evaluating elsewhere in between changes no bit.
         def snapshot(loop):
@@ -213,14 +277,14 @@ class TestClosedLoopDerivative:
             return attrs, tables
 
         loop = ClosedLoop(sc)
-        a = loop.initial_state()
+        a = np.asarray(loop.initial_state())
         a[:PLANT_DIM] += 0.01 * np.arange(PLANT_DIM)
-        first = loop.derivative(0.125, a)
+        first = np.asarray(loop.derivative(0.125, a.tolist()))
         before = snapshot(loop)
-        loop.signals(0.9, a + 0.01 * first)
-        rk4_step(loop.derivative, a + 0.02 * first, 0.5, sc.dt)
-        assert loop.derivative(0.125, a).tobytes() == first.tobytes()
-        assert ClosedLoop(sc).derivative(0.125, a).tobytes() == first.tobytes()
+        loop.signals(0.9, (a + 0.01 * first).tolist())
+        rk4_step(loop.derivative, (a + 0.02 * first).tolist(), 0.5, sc.dt)
+        assert np.asarray(loop.derivative(0.125, a.tolist())).tobytes() == first.tobytes()
+        assert np.asarray(ClosedLoop(sc).derivative(0.125, a.tolist())).tobytes() == first.tobytes()
         assert snapshot(loop) == before
 
     def test_free_fall_descends_monotonically(self):
@@ -330,6 +394,16 @@ class TestRunScenario:
             log, metrics = run_scenario(sc)
         assert not metrics.completed
         assert metrics.abort["reason"] == "NonFiniteError"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_step_that_ends_non_finite_aborts_at_its_start(self, monkeypatch, bad):
+        # Every stage state was finite; only the combined new state is not.
+        step = engine.rk4_step
+        monkeypatch.setattr(engine, "rk4_step", lambda *args, **kw: [*step(*args, **kw)[:-1], bad])
+        log, metrics = run_scenario(dataclasses.replace(Scenario(), duration=0.01))
+        assert metrics.abort == {"reason": "NonFiniteError", "t": 0.0,
+                                 "detail": "state became non-finite during the step at t=0.000000 s"}
+        assert len(log) == 1
 
     def test_clamp_events_count_every_rk4_stage(self, monkeypatch):
         # A 20 rad/s initial roll rate saturates the mixer.  clamp_events

@@ -157,27 +157,22 @@ class _AnalyticGenerator:
 class SampledNoiseGenerator:
     """Piecewise-constant noise, one draw per hold interval [k h, (k+1) h).
 
-    It draws the boundaries noise_draw_size counts; a time past them reads the last.
+    It draws the boundaries noise_draw_size counts, so value(t) is defined on [0, horizon]
+    (and the 2e-9 slack past it).  A time past the drawn table raises IndexError.
     """
 
-    __slots__ = ("hold", "_values", "_count")
+    __slots__ = ("hold", "_values")
 
     def __init__(self, spec, seed, horizon: float):
         self.hold = spec.hold
         try:
-            self._count = int(noise_draw_size(spec, horizon)[0])
-            values = noise_boundary_values(spec, seed, self._count)
+            values = noise_boundary_values(spec, seed, int(noise_draw_size(spec, horizon)[0]))
         except (OverflowError, ValueError) as exc:  # a valid spec, but a size no array holds
             raise MemoryError(str(exc)) from exc
         self._values = values.tolist()
 
     def value(self, t: float) -> float:
-        idx = int(t / self.hold)
-        if idx < 0:
-            idx = 0
-        elif idx >= self._count:
-            idx = self._count - 1
-        return self._values[idx]
+        return self._values[int(t / self.hold)]
 
 
 def make_generator(spec: DisturbanceSpec, seed, horizon: float):
@@ -186,6 +181,7 @@ def make_generator(spec: DisturbanceSpec, seed, horizon: float):
     `seed` is anything np.random.default_rng accepts, such as the (scenario seed, channel
     index) entropy tuple ClosedLoop passes.  Only noise reads it, and then only when the
     spec carries no seed of its own, so an analytic channel builds no random state.
+    Held noise is drawn for [0, horizon]: its value(t) past the drawn table raises IndexError.
     """
     if isinstance(spec, NoDisturbance):
         return _AnalyticGenerator(lambda t: 0.0)

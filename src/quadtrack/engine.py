@@ -27,10 +27,10 @@ derivative stays a pure function of (t, state).
 The augmented state is a list of 48 floats (numpy holds the log): plant
 states 0..11, then one rig per channel in the order roll, pitch, yaw, x, y, z.
 
-ClosedLoop builds its per-rig constant tables once: the front half's (rig
-base, output index, p, tau, m1, m2, lam), the law's gain k and the
-observers' (rig base, output index, beta1, beta2, eps, lam).  An evaluation
-is then one flat pass that keeps each rig's front-half results in locals.
+ClosedLoop builds one constants row per rig, in CHANNELS order: (rig base,
+output index, p, tau, m1, m2, lam, beta1, beta2, eps), and the law gains k.
+The front half, the observers and the log row read it.  An evaluation is
+then one flat pass that keeps each rig's front-half results in locals.
 The leaf calls stay fixed all the same: every leaf is called by name from
 this module, four evaluations per RK4 step, three attitude_torque calls
 (axis name first) and one mixing call per pass, and the applied torques
@@ -123,15 +123,11 @@ class ClosedLoop:
         self._tsf = scenario.true_state_feedback
         self._position_do = scenario.position_do
         self._fixed_residual_speed = scenario.fixed_residual_speed
-        # Per-rig constant tables in CHANNELS order (see the module docstring).
-        fronts, laws, observers = [], [], []
-        for i, ch in enumerate(CHANNELS):
-            g = scenario.gains[ch]
-            base = PLANT_DIM + RIG_SIZE * i
-            fronts.append((base, 2 * i, g.p, g.tau, g.m1, g.m2, g.lam))
-            laws.append(g.k)
-            observers.append((base, 2 * i, g.beta1, g.beta2, g.eps, g.lam))
-        self._fronts, self._laws, self._observers = tuple(fronts), tuple(laws), tuple(observers)
+        # One constants row per rig, and the law gains (see the module docstring).
+        gains = [scenario.gains[ch] for ch in CHANNELS]
+        self._rigs = tuple((PLANT_DIM + RIG_SIZE * i, 2 * i, g.p, g.tau, g.m1, g.m2, g.lam,
+                            g.beta1, g.beta2, g.eps) for i, g in enumerate(gains))
+        self._k = tuple(g.k for g in gains)
         self._att_gain = tuple(attitude_input_gain(ax, self.params) for ax in CHANNELS[:3])
         self._traj = (reference_trajectory if scenario.waypoints is None
                       else waypoint_trajectory(scenario.waypoints))
@@ -153,7 +149,7 @@ class ClosedLoop:
         """
         a = [float(v) for v in self.scenario.initial_state]
         refs0 = self._traj(0.0)
-        for i, (_, out, p, _, _, _, lam) in enumerate(self._fronts):
+        for i, (_, out, p, _, _, _, lam, _, _, _) in enumerate(self._rigs):
             measured = a[out]
             ref = measured if i < 3 else refs0[i - 3]
             _, _, nu = channel_errors(p, measured, 0.0, ref, 0.0, 0.0)
@@ -163,7 +159,10 @@ class ClosedLoop:
         return a
 
     def derivative(self, t: float, a: Sequence[float]) -> List[float]:
-        """da/dt at (t, a) as a new list of STATE_DIM floats; a is read, not changed."""
+        """da/dt at (t, a) as a new list of STATE_DIM floats; a is read, not changed.
+
+        An a of another length raises ValueError, as it does for signals.
+        """
         return self._eval(t, a, collect=False)
 
     def signals(self, t: float, a: Sequence[float]):
@@ -173,14 +172,14 @@ class ClosedLoop:
     def _front(self, rig, st, ref):
         """Front half of one rig tracking ref: command filter, errors, lag, DO estimate.
 
-        rig is the rig's row of front-half constants.  Returns the flat tuple
+        rig is the rig's constants row.  Returns the flat tuple
 
             0 dz1   1 dz2   2 dsigma   3 xi1   4 xi2   5 dhat   6 rate
 
         where rate is what the law and the DO read (the HGO estimate, or the
         true rate under oracle feedback); the law also reads dsigma.
         """
-        base, out, p, tau, m1, m2, lam = rig
+        base, out, p, tau, m1, m2, lam, _, _, _ = rig
         z1, z2, sg, fb1, fb2, gm = st[base:base + RIG_SIZE]
         dz1, dz2 = command_filter_derivative(z1, z2, m1, m2, ref)
         if self._tsf:
@@ -198,6 +197,8 @@ class ClosedLoop:
                 *acceleration_from_attitude(params, outputs[0], outputs[1], outputs[2], up))
 
     def _eval(self, t, st, collect):
+        if len(st) != STATE_DIM:
+            raise ValueError(f"augmented state has {len(st)} entries, not STATE_DIM = {STATE_DIM}")
         if abs(st[0]) >= ANGLE_LIMIT or abs(st[2]) >= ANGLE_LIMIT:
             raise AngleGuardError(t, st[0], st[2])
         # Checked whole before any leaf reads it: under oracle feedback no
@@ -207,8 +208,8 @@ class ClosedLoop:
         # Rig i of CHANNELS (roll, pitch, yaw, x, y, z) is f<i> below.
         params = self.params
         front = self._front
-        rig0, rig1, rig2, rig3, rig4, rig5 = self._fronts
-        k0, k1, k2, k3, k4, k5 = self._laws
+        rig0, rig1, rig2, rig3, rig4, rig5 = self._rigs
+        k0, k1, k2, k3, k4, k5 = self._k
         xyz = self._traj(t)
         f3 = front(rig3, st, xyz[0])
         f4 = front(rig4, st, xyz[1])
@@ -262,8 +263,8 @@ class ClosedLoop:
         input_terms = (g0 * u0, g1 * u1, g2 * u2, 0.0, 0.0, 0.0)
 
         deriv = list(plant)
-        for (base, out, b1, b2, eps, lam), f, nom, fb, inp in zip(
-                self._observers, (f0, f1, f2, f3, f4, f5), nominal, feedback, input_terms):
+        for (base, out, _, _, _, _, lam, b1, b2, eps), f, nom, fb, inp in zip(
+                self._rigs, (f0, f1, f2, f3, f4, f5), nominal, feedback, input_terms):
             dxh1, dxh2 = hgo_derivative(st[base + 3], st[base + 4], b1, b2, eps, st[out],
                                         nom, inp)
             deriv += (f[0], f[1], f[2], dxh1, dxh2,
@@ -272,7 +273,7 @@ class ClosedLoop:
             return deriv
 
         row = [t, *st[:PLANT_DIM]]
-        for base, *_ in self._observers:
+        for base, *_ in self._rigs:
             row += (st[base + 3], st[base + 4])
         row += [*xyz, phi_des, theta_des, psi_des, *u, *mix.speeds, *virtuals, *d_now,
                 f0[5], f1[5], f2[5], f3[5], f4[5], f5[5]]
@@ -334,10 +335,12 @@ class RunResult(NamedTuple):
 SETTLE_FRACTION = 0.1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_rmse(log: SimLog, window: Tuple[float, float]) -> Metrics:
     """Per-channel RMSE, peak, and settle time over [t0, t1].
 
-    A settle time is None when the channel never settles, or when its peak is nan or inf.
+    A figure that overflows comes out as inf or nan, with no numpy warning.  A settle time is
+    None when the channel never settles, or when its peak is nan or inf.
     """
     t0, t1 = window
     t = log.data[:, 0]
@@ -364,7 +367,6 @@ def compute_rmse(log: SimLog, window: Tuple[float, float]) -> Metrics:
     return Metrics(tracking_rmse, estimation_rmse, peaks, settle, (float(t0), float(t1)))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(sc: Scenario) -> RunResult:
     """Integrate the scenario from 0 to duration at fixed dt.
 

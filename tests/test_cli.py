@@ -235,6 +235,13 @@ class TestSweep:
         assert "argument --vary: given 2 times" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_sweep_path_through_a_value_exits_2(self, tmp_path, short_scenario, capsys):
+        out = tmp_path / "s"
+        assert main(["sweep", "--scenario", str(short_scenario), "--vary", "sim.dt.x=1",
+                     "--out", str(out)]) == 2
+        assert "cannot descend into scenario path 'sim.dt.x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_invalid_value_exits_2(self, tmp_path, short_scenario):
         assert main(["sweep", "--scenario", str(short_scenario),
                      "--vary", "gains.roll.k=-5", "--out", str(tmp_path / "s")]) == 2

@@ -85,6 +85,28 @@ class TestSampledNoise:
             gen.value(t)
         assert gen.value(17.25) == v1
 
+    def test_a_read_past_the_drawn_table_raises(self):
+        # 10 s held for 1 s draws the boundaries 0..10 s; the last value holds to 11 s.
+        gen = make_generator(GaussianNoise(1.0, hold=1.0, seed=3), 0, 10.0)
+        assert gen.value(10.999) == gen.value(10.0)
+        with pytest.raises(IndexError):
+            gen.value(11.0)
+
+    # The docstring's domain: every t in [0, horizon] reads a drawn value.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(horizon=st.floats(1e-3, 10.0), hold=_HOLDS, frac=st.floats(0.0, 1.0))
+    def test_every_time_up_to_the_horizon_reads_a_drawn_value(self, horizon, hold, frac):
+        gen = make_generator(GaussianNoise(1.0, hold=hold, seed=1), 0, horizon)
+        for t in (0.0, frac * horizon, horizon):
+            assert math.isfinite(gen.value(t))
+
+    @pytest.mark.parametrize("build", [lambda: make_generator("gaussian", 0, 1.0),
+                                       lambda: noise_boundary_values(Sinusoid(1.0, 1.0), 0, 3)],
+                             ids=["make_generator", "noise_boundary_values"])
+    def test_a_spec_of_no_known_kind_is_rejected(self, build):
+        with pytest.raises(TypeError, match="unknown .* spec"):
+            build()
+
     def test_gaussian_statistics(self):
         vals = noise_boundary_values(GaussianNoise(1.0, hold=1.0), 99, 100_000)
         assert abs(vals.mean()) < 3.0 / math.sqrt(100_000)

@@ -203,6 +203,19 @@ class TestClosedLoopDerivative:
         with pytest.raises(NonFiniteError, match="augmented state entry 15"):
             oracle.derivative(0.0, a)
 
+    # Neither a long state, evaluated on its first STATE_DIM entries, nor a short one, failing
+    # with a bare IndexError: the length is checked before the angle guard reads entry 0.
+    @pytest.mark.parametrize("size", [STATE_DIM - 1, STATE_DIM + 1])
+    @pytest.mark.parametrize("method", ["derivative", "signals"])
+    def test_state_of_the_wrong_length_is_rejected(self, method, size):
+        loop = ClosedLoop(hover_scenario())
+        a = loop.initial_state()
+        a[0] = 2.0  # past the angle guard
+        a = (a + [0.0])[:size]
+        with pytest.raises(ValueError, match=f"augmented state has {size} entries, "
+                                             f"not STATE_DIM = {STATE_DIM}"):
+            getattr(loop, method)(0.0, a)
+
     def test_two_finite_entries_whose_sum_overflows_pass_the_state_check(self):
         # Under estimated feedback only the plant rows read the true
         # velocities, so these entries reach no control leaf.
@@ -532,6 +545,13 @@ class TestComputeRmse:
         assert m.settle_time["x"] is None and m.settle_time["y"] is None
         assert m.settle_time["z"] == 0.0
 
+    def test_overflowing_error_is_inf_without_warnings(self):
+        # e * e overflows; the suite turns numpy's warning into an error.
+        m = compute_rmse(synthetic_log(e_x=np.full(3, 1e200)), (0.0, 0.2))
+        assert m.tracking_rmse["x"] == math.inf
+        assert m.peak_abs_error["x"] == 1e200
+        assert m.settle_time["x"] is None
+
     def test_empty_window_rejected(self):
         log = synthetic_log(e_x=np.zeros(10))
         with pytest.raises(ValueError):
@@ -750,6 +770,12 @@ class TestTraceIo:
         write_trace(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_decimation_below_one_is_rejected(self, tmp_path):
+        log = SimLog(columns=COLUMNS, data=np.zeros((3, len(COLUMNS))))
+        with pytest.raises(ValueError, match="decimation must be >= 1"):
+            write_trace(log, tmp_path / "trace.csv", decimation=0)
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_decimation(self, tmp_path):
         sc = dataclasses.replace(Scenario(), duration=0.1)
         log, _ = run_scenario(sc)
@@ -788,3 +814,9 @@ class TestSummary:
         assert summary["schema_version"] == 5
         assert summary["window"] == [0.0, 0.01] and summary["abort"] is None
         assert json.loads(json.dumps(payload)) == summary
+
+    def test_missing_directory_raises_simulation_error(self, tmp_path):
+        sc = dataclasses.replace(Scenario(), duration=0.01)
+        _, metrics = run_scenario(sc)
+        with pytest.raises(SimulationError, match="cannot write summary to"):
+            write_summary(metrics, sc, tmp_path / "missing" / "summary.json")

@@ -248,7 +248,11 @@ class TestValidationErrors:
         first = np.random.default_rng(3).normal(0.0, math.sqrt(1e-3 / inner_dt), 1)[0]
         assert gen.value(0.0) == gen.value(sc.duration) == first
 
-    @pytest.mark.parametrize("change", [{"dt": 0.02}, {"waypoints": ((1, 0, 0, 1), (0, 1, 1, 1))}])
+    @pytest.mark.parametrize("change", [
+        {"dt": 0.02}, {"waypoints": ((1, 0, 0, 1), (0, 1, 1, 1))},
+        {"gains": {ch: g for ch, g in Scenario().gains.items() if ch != "z"}},
+        {"disturbances": {ch: d for ch, d in Scenario().disturbances.items() if ch != "x"}},
+    ])
     def test_construction_validates(self, change):
         with pytest.raises(ScenarioError):
             dataclasses.replace(Scenario(), **change)
@@ -486,6 +490,11 @@ class TestWaypointTrajectory:
             waypoint_trajectory([[0.0, 1.0, 2.0]])
         with pytest.raises(ValueError):
             waypoint_trajectory([[0.0, 0, 0, 0], [0.0, 1, 1, 1]])
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            waypoint_trajectory(None)
+        # One row has no segment, so only the entry check sees its NaN.
+        with pytest.raises(ValueError, match="waypoints must be finite"):
+            waypoint_trajectory([[0.0, math.nan, 0.0, 0.0]])
 
 
 class TestScenarioOwnsItsTrajectory:

@@ -158,7 +158,7 @@ class SampledNoiseGenerator:
     """Piecewise-constant noise, one draw per hold interval [k h, (k+1) h).
 
     It draws the boundaries noise_draw_size counts, so value(t) is defined on [0, horizon]
-    (and the 2e-9 slack past it).  A time past the drawn table raises IndexError.
+    (and the 2e-9 slack past it).  A time before 0 or past the drawn table raises IndexError.
     """
 
     __slots__ = ("hold", "_values")
@@ -172,6 +172,8 @@ class SampledNoiseGenerator:
         self._values = values.tolist()
 
     def value(self, t: float) -> float:
+        if t < 0.0:  # int(t / hold) <= -1 would index the table from its end
+            raise IndexError(f"held noise read at t = {t!r} s, before 0")
         return self._values[int(t / self.hold)]
 
 
@@ -181,7 +183,8 @@ def make_generator(spec: DisturbanceSpec, seed, horizon: float):
     `seed` is anything np.random.default_rng accepts, such as the (scenario seed, channel
     index) entropy tuple ClosedLoop passes.  Only noise reads it, and then only when the
     spec carries no seed of its own, so an analytic channel builds no random state.
-    Held noise is drawn for [0, horizon]: its value(t) past the drawn table raises IndexError.
+    Held noise is drawn for [0, horizon]: its value(t) before 0 or past the drawn table raises
+    IndexError.
     """
     if isinstance(spec, NoDisturbance):
         return _AnalyticGenerator(lambda t: 0.0)

@@ -65,17 +65,18 @@ def simulate_roll_regulation(
         dgm = do_derivative(gm, gains.lam, x2, 0.0, g1 * u) if use_do else 0.0
         return np.array([x2, g1 * u + disturbance(t), dz1, dz2, dsg, dgm])
 
-    # command filter on the reference; lag filter starts at its input
-    s = np.array([x1_0, 0.0, reference, 0.0, 0.0, 0.0])
-    s[4] = -gains.p * (s[0] - s[2])
     n = int(round(t_end / dt))
-    t = np.arange(n + 1) * dt
-    states = np.empty((n + 1, 6))
-    sigs = np.empty((n + 1, 4))
-    states[0] = s
-    sigs[0] = law(s)[3:]
+    # command filter on the reference; lag filter starts at its input
+    states = rk4_trajectory(
+        deriv, [x1_0, 0.0, reference, 0.0, -gains.p * (x1_0 - reference), 0.0], n, dt)
+    return np.arange(n + 1) * dt, states, np.array([law(s)[3:] for s in states])
+
+
+def rk4_trajectory(f, s0, n: int, dt: float):
+    """s0 and the state after each of n RK4 steps of f, step i from t = i dt, as n + 1 rows."""
+    out = np.empty((n + 1, len(s0)))
+    out[0] = s = s0
     for i in range(n):
-        s = rk4_step(deriv, s, t[i], dt)
-        states[i + 1] = s
-        sigs[i + 1] = law(s)[3:]
-    return t, states, sigs
+        s = rk4_step(f, s, i * dt, dt)
+        out[i + 1] = s
+    return out

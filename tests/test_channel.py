@@ -11,21 +11,15 @@ from quadtrack.channel import (
     hgo_derivative,
     position_virtual_control,
 )
-from quadtrack.engine import rk4_step
+from support import rk4_trajectory
 
 DT = 1e-3
 
 
 def integrate_command_filter(ref_fn, m1, m2, z0=(0.0, 0.0), t_end=20.0, dt=DT):
-    z = np.array(z0, dtype=float)
-    f = lambda t, s: np.array(command_filter_derivative(s[0], s[1], m1, m2, ref_fn(t)))
+    f = lambda t, s: command_filter_derivative(s[0], s[1], m1, m2, ref_fn(t))
     n = int(round(t_end / dt))
-    out = np.empty((n + 1, 3))
-    out[0] = (0.0, *z)
-    for i in range(n):
-        z = rk4_step(f, z, i * dt, dt)
-        out[i + 1] = ((i + 1) * dt, *z)
-    return out
+    return np.column_stack([np.arange(n + 1) * dt, rk4_trajectory(f, z0, n, dt)])
 
 
 class TestCommandFilter:
@@ -97,24 +91,18 @@ class TestFirstOrderFilter:
 
     def test_matches_exponential_step_response(self):
         tau = 0.5
-        sigma = [0.0]
         f = lambda t, s: [first_order_filter_derivative(s[0], 1.0, tau)]
-        for i in range(500):
-            sigma = rk4_step(f, sigma, i * DT, DT)
+        sigma = rk4_trajectory(f, [0.0], 500, DT)[-1, 0]
         exact = 1.0 - math.exp(-0.5 / tau)
-        assert sigma[0] == pytest.approx(exact, abs=1e-4)
+        assert sigma == pytest.approx(exact, abs=1e-4)
 
     def test_monotone_exponential_approach(self):
         tau = 0.2
-        sigma = [0.0]
         f = lambda t, s: [first_order_filter_derivative(s[0], 1.0, tau)]
-        prev = sigma[0]
-        for i in range(2000):
-            sigma = rk4_step(f, sigma, i * DT, DT)
-            exact = 1.0 - math.exp(-(i + 1) * DT / tau)
-            assert sigma[0] > prev
-            assert sigma[0] == pytest.approx(exact, abs=1e-9)  # O(dt^4) accuracy
-            prev = sigma[0]
+        sigma = rk4_trajectory(f, [0.0], 2000, DT)[:, 0]
+        exact = [1.0 - math.exp(-(i + 1) * DT / tau) for i in range(2000)]
+        assert np.all(np.diff(sigma) > 0.0)
+        assert sigma[1:] == pytest.approx(exact, abs=1e-9)  # O(dt^4) accuracy
 
 
 class TestVirtualControlLaw:
@@ -149,10 +137,8 @@ class TestDisturbanceObserver:
             x2, gamma = s
             return np.array([d, do_derivative(gamma, lam, x2, 0.0, 0.0)])
 
-        s = np.array([0.0, 0.0])
-        for i in range(1000):
-            s = rk4_step(f, s, i * DT, DT)
-        dtilde = do_estimate(s[1], lam, s[0]) - d
+        x2, gamma = rk4_trajectory(f, [0.0, 0.0], 1000, DT)[-1]
+        dtilde = do_estimate(gamma, lam, x2) - d
         assert abs(dtilde) == pytest.approx(math.exp(-2.0), abs=1e-4)
 
     @pytest.mark.parametrize("lam", [2.0, 5.0, 10.0])
@@ -163,13 +149,9 @@ class TestDisturbanceObserver:
             x2, gamma = s
             return np.array([d, do_derivative(gamma, lam, x2, 0.0, 0.0)])
 
-        s = np.array([0.0, 0.0])
         n = int(round((4.0 / lam) / DT))
-        logs = np.empty(n + 1)
-        logs[0] = math.log(abs(do_estimate(s[1], lam, s[0]) - d))
-        for i in range(n):
-            s = rk4_step(f, s, i * DT, DT)
-            logs[i + 1] = math.log(abs(do_estimate(s[1], lam, s[0]) - d))
+        logs = [math.log(abs(do_estimate(gamma, lam, x2) - d))
+                for x2, gamma in rk4_trajectory(f, [0.0, 0.0], n, DT)]
         t = np.arange(n + 1) * DT
         slope = np.polyfit(t, logs, 1)[0]
         assert slope == pytest.approx(-lam, rel=0.02)
@@ -182,11 +164,9 @@ class TestDisturbanceObserver:
             x2, gamma = s
             return np.array([c * t, do_derivative(gamma, lam, x2, 0.0, 0.0)])
 
-        s = np.array([0.0, 0.0])
         n = int(round(6.0 / DT))
-        for i in range(n):
-            s = rk4_step(f, s, i * DT, DT)
-        dtilde = do_estimate(s[1], lam, s[0]) - c * (n * DT)
+        x2, gamma = rk4_trajectory(f, [0.0, 0.0], n, DT)[-1]
+        dtilde = do_estimate(gamma, lam, x2) - c * (n * DT)
         assert abs(dtilde) == pytest.approx(c / lam, rel=0.05)
 
 
@@ -209,14 +189,10 @@ class TestHighGainObserver:
                 dxh1, dxh2 = hgo_derivative(xh1, xh2, 1.0, 2.0, eps, x1, 0.0, 0.0)
                 return np.array([x2, math.sin(t), dxh1, dxh2])
 
-            s = np.zeros(4)
-            sup = 0.0
             n = int(round(t_end / DT))
-            for i in range(n):
-                s = rk4_step(f, s, i * DT, DT)
-                if (i + 1) * DT > t_end / 2:
-                    sup = max(sup, abs(s[0] - s[2]), abs(s[1] - s[3]))
-            return sup
+            after = rk4_trajectory(f, [0.0] * 4, n, DT)[1:]
+            late = after[np.arange(1, n + 1) * DT > t_end / 2]
+            return np.abs(late[:, :2] - late[:, 2:]).max()
 
         sups = [sup_error(eps) for eps in (0.1, 0.05, 0.01)]
         assert sups[0] > sups[1] > sups[2]
@@ -239,12 +215,8 @@ class TestHighGainObserver:
                 dxh1, dxh2 = hgo_derivative(xh1, xh2, b1, b2, eps, x1, 0.0, 0.0)
                 return np.array([x2, 0.0, dxh1, dxh2])
 
-            s = np.array([delta0, 0.0, 0.0, 0.0])
-            top = 0.0
-            for i in range(int(round(3.0 * eps / dt))):  # past the peak at s* = 0.91
-                s = rk4_step(f, s, i * dt, dt)
-                top = max(top, abs(s[3]))
-            return top
+            n = int(round(3.0 * eps / dt))  # past the peak at s* = 0.91
+            return np.abs(rk4_trajectory(f, [delta0, 0.0, 0.0, 0.0], n, dt)[1:, 3]).max()
 
         for eps, delta0 in ((0.2, 1.0), (0.1, 1.0), (0.05, 1.0), (0.02, 1.0), (0.05, 3.0)):
             assert peak(eps, delta0) * eps / delta0 == pytest.approx(shape, rel=1e-6), (eps, delta0)

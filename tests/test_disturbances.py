@@ -89,8 +89,9 @@ class TestSampledNoise:
         # 10 s held for 1 s draws the boundaries 0..10 s; the last value holds to 11 s.
         gen = make_generator(GaussianNoise(1.0, hold=1.0, seed=3), 0, 10.0)
         assert gen.value(10.999) == gen.value(10.0)
-        with pytest.raises(IndexError):
-            gen.value(11.0)
+        for t in (11.0, -1e-9, -1.0):
+            with pytest.raises(IndexError):
+                gen.value(t)
 
     # The docstring's domain: every t in [0, horizon] reads a drawn value.
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -320,26 +320,31 @@ class TestValidationErrors:
             Scenario(waypoints=rows)
 
 
-# A valid instance of each configuration dataclass with number fields and, per
-# range-checked field, a finite value outside its range (None: any finite value is in range).
+# A valid instance of each configuration dataclass with number fields and, per range-checked
+# field, a finite value past each bound of its range, the bound itself where the range excludes
+# it (() where any finite value is in range).
+_OVER_1 = math.nextafter(1.0, 2.0)
 _RANGES = [
     (ChannelGains(p=1.0, k=1.0, lam=1.0),
-     {"p": 0.0, "k": -1.0, "lam": 0.5, "tau": 1.5, "m1": 0.0, "m2": -0.1, "beta1": 0.0,
-      "beta2": 0.0, "eps": 1e-200}),
+     {"p": (0.0,), "k": (0.0,), "lam": (0.5,), "tau": (0.0, _OVER_1), "m1": (0.0,),
+      "m2": (0.0,), "beta1": (0.0,), "beta2": (0.0,), "eps": (0.0, _OVER_1, 1e-200)}),
+    # 5e-324 makes the input gain l / Ix, l / Iy or 1 / Iz overflow.
     (QuadrotorParams(),
-     {"g": 0.0, "m": -0.1, "l": 0.0, "b": 0.0, "d": 0.0, "Ir": 0.0, "Ix": 0.0, "Iy": 0.0,
-      "Iz": 0.0}),
-    (Sinusoid(1.0, 0.1), {"amplitude": None, "omega": None, "phase": None}),
-    (Step(1.0, 1.0), {"value": None, "onset": -1.0}),
-    (Ramp(0.1, 0.01, 1.0), {"offset": None, "slope": None, "end": -1.0}),
-    (GaussianNoise(0.1, hold=1.0), {"sigma": -0.1, "hold": 0.0, "seed": -1}),
+     {"g": (0.0,), "m": (0.0,), "l": (0.0,), "b": (0.0,), "d": (0.0,), "Ir": (0.0,),
+      "Ix": (0.0, 5e-324), "Iy": (0.0, 5e-324), "Iz": (0.0, 5e-324)}),
+    (Sinusoid(1.0, 0.1), {"amplitude": (), "omega": (), "phase": ()}),
+    (Step(1.0, 1.0), {"value": (), "onset": (-1.0,)}),
+    (Ramp(0.1, 0.01, 1.0), {"offset": (), "slope": (), "end": (-1.0,)}),
+    (GaussianNoise(0.1, hold=1.0), {"sigma": (-0.1,), "hold": (0.0,), "seed": (-1,)}),
     # high < low is reported on high
-    (UniformNoise(-0.1, 0.1, hold=1.0), {"low": None, "high": -0.2, "hold": 0.0, "seed": -1}),
+    (UniformNoise(-0.1, 0.1, hold=1.0),
+     {"low": (), "high": (-0.2,), "hold": (0.0,), "seed": (-1,)}),
+    # 5e-324 makes the variance power / inner_dt overflow.
     (BandLimitedNoise(1e-3, 0.1, hold=1.0),
-     {"power": -1e-3, "inner_dt": 0.0, "hold": 0.0, "seed": -1}),
+     {"power": (-1e-3,), "inner_dt": (0.0, 5e-324), "hold": (0.0,), "seed": (-1,)}),
     (Scenario(duration=1.0),
-     {"dt": 0.02, "duration": 0.0, "seed": -1, "decimation": 0, "psi_des": None,
-      "fixed_residual_speed": None}),
+     {"dt": (0.0, math.nextafter(0.01, 1.0)), "duration": (0.0,), "seed": (-1,),
+      "decimation": (0,), "psi_des": (), "fixed_residual_speed": ()}),
 ]
 # A valid instance of each configuration dataclass with other fields, and those fields: the
 # rule checks their type, and Scenario checks some of them further by hand.
@@ -349,7 +354,8 @@ _TYPE_ONLY = [
      ("params", "gains", "waypoints", "disturbances", "initial_state", "position_do",
       "true_state_feedback")),
 ]
-_FIELD_CASES = [(base, name, bad) for base, fields in _RANGES for name, bad in fields.items()]
+_FIELD_CASES = [(base, name, outside) for base, fields in _RANGES
+                for name, outside in fields.items()]
 _EVERY_FIELD = [(base, name) for base, fields in _RANGES + _TYPE_ONLY for name in fields]
 
 
@@ -385,11 +391,11 @@ class TestRangeRule:
             dataclasses.replace(base, **{name: "oops"})
         assert str(exc.value) == f"{type(base).__name__}.{name} out of range: 'oops'"
 
-    @pytest.mark.parametrize("base, name, bad", _FIELD_CASES,
+    @pytest.mark.parametrize("base, name, outside", _FIELD_CASES,
                              ids=[f"{type(b).__name__}.{n}" for b, n, _ in _FIELD_CASES])
-    def test_non_finite_or_out_of_range_names_the_field(self, base, name, bad):
+    def test_non_finite_or_out_of_range_names_the_field(self, base, name, outside):
         # True: a bool compares as a number, but the loader rejects it by type.
-        for value in (math.nan, math.inf, True) + (() if bad is None else (bad,)):
+        for value in (math.nan, math.inf, True, *outside):
             with pytest.raises(ScenarioError) as exc:
                 dataclasses.replace(base, **{name: value})
             assert isinstance(exc.value, ValueError)

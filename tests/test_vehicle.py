@@ -23,11 +23,8 @@ PARAMS = QuadrotorParams()
 EPS = np.finfo(float).eps
 
 
-def level_state(**kw):
-    s = [0.0] * 12
-    for key, value in kw.items():
-        s[int(key[1:]) - 1] = value
-    return s
+def level_state():
+    return [0.0] * 12
 
 
 class TestStateDerivative:
@@ -100,15 +97,6 @@ class TestStateDerivative:
             want = np.array([row for pair in zip(state[1::2], accel) for row in pair])
             assert np.asarray(ds).tobytes() == want.tobytes()
 
-    def test_rejects_non_finite(self):
-        u = (1.0, 0.0, 0.0, 0.0)
-        bad = level_state()
-        bad[3] = math.nan
-        with pytest.raises(NonFiniteError):
-            state_derivative(PARAMS, bad, u, 0.0)
-        with pytest.raises(NonFiniteError):
-            state_derivative(PARAMS, level_state(), (1.0, math.inf, 0.0, 0.0), 0.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["state", "inputs", "disturbance"])
     def test_non_finite_message_names_the_value(self, where, bad):
@@ -118,12 +106,6 @@ class TestStateDerivative:
         with pytest.raises(NonFiniteError) as exc:
             state_derivative(PARAMS, args["state"], args["inputs"], 0.0, args["disturbance"])
         assert str(exc.value) == f"non-finite {where} entry 1: {bad!r}"
-
-    def test_finite_values_whose_sum_overflows_pass(self):
-        # Two entries of 1e308 sum to inf; each is finite, so no check fires.
-        state_derivative(PARAMS, level_state(x8=1e308, x10=1e308),
-                         (1e308, 1e308, 0.0, 0.0), 0.0,
-                         (1e308, 1e308, 0.0, 0.0, 0.0, 0.0))
 
     def test_rejects_negative_thrust(self):
         with pytest.raises(ValueError):
@@ -217,9 +199,6 @@ class TestMixing:
         with pytest.raises(NonFiniteError) as exc:
             mix_inputs_to_rotor_speeds(PARAMS, (1.0, 0.0, bad, 0.0))
         assert str(exc.value) == f"non-finite inputs entry 2: {bad!r}"
-
-    def test_finite_inputs_whose_sum_overflows_pass(self):
-        mix_inputs_to_rotor_speeds(PARAMS, (1e308, 1e308, 0.0, 0.0))
 
     @pytest.mark.parametrize("uphi, utheta, speeds", [
         (2.0, 0.0, (0.0, 0.0, 0.0, 1.0)),   # rotor 2 wants a square of -1

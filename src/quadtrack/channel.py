@@ -69,9 +69,11 @@ def command_filter_derivative(z1: float, z2: float, m1: float, m2: float, ref: f
     """Derivatives (dz1, dz2) of the super-twisting command filter.
 
     z1 chases ref in finite time and z2 recovers the reference rate.  m1
-    scales the square-root correction; m2 bounds the steepest reference
-    slope the filter can follow.  sign(0) = 0 makes convergence an exact
-    equilibrium; under fixed-step integration z2 chatters within m2*dt.
+    scales the square-root correction.  |dz2| <= m2, so z2 gains at most m2
+    per second: m2 bounds the reference acceleration |ref''| the filter can
+    follow, not its slope (Levant, Automatica 1998), and a ramp of any slope
+    is followed once z2 has climbed to it.  sign(0) = 0 makes convergence an
+    exact equilibrium; under fixed-step integration z2 chatters within m2*dt.
     """
     err = z1 - ref
     s = 1.0 if err > 0.0 else -1.0 if err < 0.0 else 0.0

@@ -68,6 +68,18 @@ class TestCommandFilter:
         assert settle <= 1.0
         assert err[-1] < 1e-2
 
+    def test_m2_bounds_the_reference_acceleration_not_its_slope(self):
+        # The docstring's claim at m1 = m2 = 1: a ramp of slope 5 is followed (measured: z2
+        # within 1e-2 of 5 from 9.37 s on); a sine with |ref''| up to 0.25 is tracked (z1 error
+        # 3.2e-7 over t > 20 s) and one with |ref''| up to 4 is lost (z1 error 1.1).
+        ramp = integrate_command_filter(lambda t: 5.0 * t, 1.0, 1.0, t_end=12.0)
+        assert np.abs(ramp[ramp[:, 0] >= 10.0, 2] - 5.0).max() < 1e-2
+        for omega, tracked in ((0.5, True), (2.0, False)):
+            out = integrate_command_filter(lambda t: math.sin(omega * t), 1.0, 1.0, t_end=30.0)
+            late = out[out[:, 0] > 20.0]
+            err = np.abs(late[:, 1] - np.sin(omega * late[:, 0])).max()
+            assert err < 1e-6 if tracked else err > 0.5
+
     @pytest.mark.parametrize("m1, m2, dt", [(1.0, 1.0, 1e-3), (1.0, 0.1, 1e-3), (1.0, 1.0, 5e-4)])
     def test_chatter_bounded_by_m2_dt(self, m1, m2, dt):
         # The docstring's bound (Levant, Automatica 1998).  Each RK4 stage

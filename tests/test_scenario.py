@@ -324,27 +324,31 @@ class TestValidationErrors:
 # field, a finite value past each bound of its range, the bound itself where the range excludes
 # it (() where any finite value is in range).
 _OVER_1 = math.nextafter(1.0, 2.0)
+_NOT_POSITIVE = (0.0, -1.0)
 _RANGES = [
     (ChannelGains(p=1.0, k=1.0, lam=1.0),
-     {"p": (0.0,), "k": (0.0,), "lam": (0.5,), "tau": (0.0, _OVER_1), "m1": (0.0,),
-      "m2": (0.0,), "beta1": (0.0,), "beta2": (0.0,), "eps": (0.0, _OVER_1, 1e-200)}),
+     {"p": _NOT_POSITIVE, "k": _NOT_POSITIVE, "lam": (0.5, -1.0),
+      "tau": (*_NOT_POSITIVE, _OVER_1), "m1": _NOT_POSITIVE, "m2": _NOT_POSITIVE,
+      "beta1": _NOT_POSITIVE, "beta2": _NOT_POSITIVE, "eps": (*_NOT_POSITIVE, _OVER_1, 1e-200)}),
     # 5e-324 makes the input gain l / Ix, l / Iy or 1 / Iz overflow.
     (QuadrotorParams(),
-     {"g": (0.0,), "m": (0.0,), "l": (0.0,), "b": (0.0,), "d": (0.0,), "Ir": (0.0,),
-      "Ix": (0.0, 5e-324), "Iy": (0.0, 5e-324), "Iz": (0.0, 5e-324)}),
+     {"g": _NOT_POSITIVE, "m": _NOT_POSITIVE, "l": _NOT_POSITIVE, "b": _NOT_POSITIVE,
+      "d": _NOT_POSITIVE, "Ir": _NOT_POSITIVE, "Ix": (*_NOT_POSITIVE, 5e-324),
+      "Iy": (*_NOT_POSITIVE, 5e-324), "Iz": (*_NOT_POSITIVE, 5e-324)}),
     (Sinusoid(1.0, 0.1), {"amplitude": (), "omega": (), "phase": ()}),
     (Step(1.0, 1.0), {"value": (), "onset": (-1.0,)}),
     (Ramp(0.1, 0.01, 1.0), {"offset": (), "slope": (), "end": (-1.0,)}),
-    (GaussianNoise(0.1, hold=1.0), {"sigma": (-0.1,), "hold": (0.0,), "seed": (-1,)}),
+    (GaussianNoise(0.1, hold=1.0), {"sigma": (-0.1,), "hold": _NOT_POSITIVE, "seed": (-1,)}),
     # high < low is reported on high
     (UniformNoise(-0.1, 0.1, hold=1.0),
-     {"low": (), "high": (-0.2,), "hold": (0.0,), "seed": (-1,)}),
+     {"low": (), "high": (-0.2,), "hold": _NOT_POSITIVE, "seed": (-1,)}),
     # 5e-324 makes the variance power / inner_dt overflow.
     (BandLimitedNoise(1e-3, 0.1, hold=1.0),
-     {"power": (-1e-3,), "inner_dt": (0.0, 5e-324), "hold": (0.0,), "seed": (-1,)}),
+     {"power": (-1e-3,), "inner_dt": (*_NOT_POSITIVE, 5e-324), "hold": _NOT_POSITIVE,
+      "seed": (-1,)}),
     (Scenario(duration=1.0),
-     {"dt": (0.0, math.nextafter(0.01, 1.0)), "duration": (0.0,), "seed": (-1,),
-      "decimation": (0,), "psi_des": (), "fixed_residual_speed": ()}),
+     {"dt": (*_NOT_POSITIVE, math.nextafter(0.01, 1.0)), "duration": _NOT_POSITIVE,
+      "seed": (-1,), "decimation": (0,), "psi_des": (), "fixed_residual_speed": ()}),
 ]
 # A valid instance of each configuration dataclass with other fields, and those fields: the
 # rule checks their type, and Scenario checks some of them further by hand.
@@ -400,6 +404,10 @@ class TestRangeRule:
                 dataclasses.replace(base, **{name: value})
             assert isinstance(exc.value, ValueError)
             assert str(exc.value) == f"{type(base).__name__}.{name} out of range: {value!r}"
+
+    def test_eps_whose_square_is_normal_is_accepted(self):
+        # The other side of the table's 1e-200, whose square underflows to 0.0.
+        assert ChannelGains(p=1.0, k=1.0, lam=1.0, eps=1e-150).eps == 1e-150
 
     def test_boolean_noise_seed_is_out_of_range(self):
         # The loader rejects a JSON boolean by type; direct construction meets the same rule.

@@ -1,6 +1,7 @@
-"""Every module of the package uses each name it imports, and the package root exports the run API.
+"""Every module of the package and of the tests uses each name it imports, and the package root
+exports the run API.
 
-__init__.py is left out of the first check: its imports are the package's re-exports.
+The package's __init__.py is left out of the first check: its imports are the package's re-exports.
 """
 
 import ast
@@ -11,8 +12,10 @@ import pytest
 
 import quadtrack
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quadtrack"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "quadtrack"
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str):

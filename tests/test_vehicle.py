@@ -296,9 +296,6 @@ class TestThrustAttitudeExtraction:
 
 
 class TestParamsValidation:
-    def test_defaults_valid(self):
-        QuadrotorParams()
-
     @pytest.mark.parametrize("field", ["m", "l", "b", "d", "Ix", "Iy", "Iz", "Ir", "g"])
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValueError):

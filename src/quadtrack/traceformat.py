@@ -1,7 +1,8 @@
 """Rows of a trace as exact %.9g text, formatted by numpy from tables (see engine.write_trace).
 
 This is a module of its own because Python compiles a module's whole syntax tree at once:
-inside engine.py these lines raised the peak RSS of a run compiled from source by about 0.6 MB.
+inside engine.py these lines raised the peak RSS of a benchmark montecarlo run compiled from
+source by 0.15-0.46 MB, median 0.27 MB (six alternating 10 s pairs, 2-vCPU VM, Python 3.11).
 """
 
 import numpy as np

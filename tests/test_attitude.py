@@ -23,6 +23,17 @@ def _bits(x):
 
 
 class TestChannelErrors:
+    def test_perfect_tracking(self):
+        xi1, xi2, nu = channel_errors(100.0, 0.2, 0.35, 0.2, 0.3, 0.05)
+        assert xi1 == 0.0
+        assert xi2 == pytest.approx(0.0)
+        assert nu == 0.3
+
+    def test_output_error(self):
+        xi1, _, nu = channel_errors(1.0, 0.1, 0.0, 0.0, 0.0, 0.0)
+        assert xi1 == pytest.approx(0.1)
+        assert nu == pytest.approx(-0.1)
+
     def test_definitions_consistent(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -105,7 +116,20 @@ class TestClosedLoopRegulation:
         assert steady_with < steady_without
 
 
-class TestDampingMargin:
+class TestGainValidation:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"p": 0.0}, {"k": -1.0}, {"lam": 0.5}, {"tau": 0.0}, {"tau": 1.5},
+            {"m1": 0.0}, {"m2": -0.1}, {"beta1": 0.0}, {"beta2": 0.0},
+        ],
+    )
+    def test_rejects_out_of_range(self, kw):
+        base = {"p": 1.0, "k": 1.0, "lam": 1.0}
+        base.update(kw)
+        with pytest.raises(ValueError):
+            ChannelGains(**base)
+
     def test_lyapunov_margin_not_enforced(self):
         # p and k below the 1/2 damping margin are accepted, as the stock
         # position gains (p = 0.1) need

@@ -214,3 +214,30 @@ class TestDrawSize:
             drawn = noise_boundary_values(spec, seed, count)
             expected = drawn[np.minimum((times / spec.hold).astype(int), count - 1)]
             assert [gen.value(t) for t in times.tolist()] == expected.tolist(), ch
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "ctor",
+        [
+            lambda: GaussianNoise(-1.0, hold=1.0),
+            lambda: UniformNoise(1.0, -1.0, hold=1.0),
+            lambda: BandLimitedNoise(-1e-3, 0.1, hold=1.0),
+            lambda: BandLimitedNoise(1e-3, 0.0, hold=1.0),
+            lambda: GaussianNoise(0.1, hold=0.0),
+            lambda: GaussianNoise(0.1, hold=1.0, seed=-4),
+            lambda: Ramp(0.1, 0.01, -5.0),
+            lambda: Step(1.0, -1.0),
+            lambda: Sinusoid(math.nan, 1.0),
+            lambda: Sinusoid(1.0, math.inf),
+            lambda: Step(math.nan, 1.0),
+            lambda: Ramp(0.1, -math.inf, 1.0),
+            lambda: GaussianNoise(math.inf, hold=1.0),
+            lambda: UniformNoise(-math.inf, 0.1, hold=1.0),
+            lambda: BandLimitedNoise(1e-3, math.nan, hold=1.0),
+            lambda: GaussianNoise(0.1, hold=math.inf),
+        ],
+    )
+    def test_rejects_invalid(self, ctor):
+        with pytest.raises(ValueError):
+            ctor()

@@ -136,9 +136,16 @@ class TestValidationErrors:
     @pytest.mark.parametrize(
         "raw",
         [
+            {"sim": {"dt": 0.0}},
+            {"sim": {"dt": 0.02}},
+            {"sim": {"duration": -1.0}},
+            {"sim": {"seed": -1}},
+            {"sim": {"decimation": 0}},
             {"sim": {"bogus": 1}},
+            {"gains": {"roll": {"p": -1.0}}},
             {"gains": {"roll": {"nope": 1.0}}},
             {"gains": {"diagonal": {"p": 1.0}}},
+            {"params": {"m": -0.1}},
             {"params": {"whatever": 2}},
             {"disturbances": {"x": {"type": "mystery"}}},
             {"disturbances": {"sideways": {"type": "none"}}},
@@ -148,12 +155,38 @@ class TestValidationErrors:
             {"initial_state": [1.6] + [0.0] * 11},
             {"unknown_section": {}},
             "not an object",
+            {"sim": {"dt": "0.001"}},
+            {"psi_des": "x"},
+            {"initial_state": 5},
             {"trajectory": "helix"},
+            {"disturbances": {"x": {"type": "sinusoid", "amplitude": "1", "omega": 0.1}}},
             {"trajectory": {"type": "waypoints", "points": [[0, 1, 2]]}},
             {"trajectory": {"type": "waypoints", "points": [[1, 0, 0, 1], [0, 1, 1, 1]]}},
             {"params": {"Im": 1e-5}},
             {"toggles": {"dz_hold_after_end": True}},
             {"sim": {"duration": 0.0105}},
+            # not finite
+            {"sim": {"dt": math.nan}},
+            {"sim": {"duration": math.inf}},
+            {"psi_des": math.nan},
+            {"params": {"Ix": math.inf}},
+            {"params": {"fixed_residual_speed": math.nan}},
+            {"gains": {"z": {"beta2": math.inf}}},
+            {"disturbances": {"x": {"type": "sinusoid", "amplitude": 1.0, "omega": math.nan}}},
+            {"disturbances": {"roll": {**_GAUSSIAN, "hold": math.inf}}},
+            # wrong exact types: booleans are not numbers, strings not booleans
+            {"toggles": {"position_do": "no"}},
+            {"sim": {"seed": True}},
+            {"sim": {"decimation": True}},
+            {"disturbances": {"z": {"type": "ramp", "offset": 0.1, "slope": 0.01, "end": 100.0,
+                                    "hold_after": "no"}}},
+            {"disturbances": {"roll": {**_GAUSSIAN, "seed": True}}},
+            {"params": {"m": True}},
+            {"gains": {"roll": {"p": True}}},
+            {"params": {"fixed_residual_speed": True}},
+            {"disturbances": {"roll": {**_GAUSSIAN, "sigma": True}}},
+            {"trajectory": {"type": "waypoints", "points": [[0, True, 2, 3]]}},
+            {"trajectory": {"type": "waypoints", "points": [["0", "1", "2", "3"]]}},
             {"disturbances": {"x": {"type": ["none"]}}},
             # unknown fields in disturbances and trajectories
             {"disturbances": {"x": {"type": "sinusoid", "amplitude": 1.0, "omega": 0.1,
@@ -162,13 +195,20 @@ class TestValidationErrors:
             {"trajectory": {"type": "helix", "points": [[0, 0, 0, 1]]}},
             {"trajectory": {"type": "waypoints", "points": [[0, 0, 0, 1]], "speed": 2.0}},
             # integers too large for a float
+            {"sim": {"duration": _HUGE}},
+            {"gains": {"roll": {"k": _HUGE}}},
             {"params": {"m": _HUGE}},
+            {"psi_des": _HUGE},
             {"initial_state": [_HUGE] + [0.0] * 11},
+            {"disturbances": {"x": {"type": "step", "value": _HUGE, "onset": 1.0}}},
             {"trajectory": {"type": "waypoints", "points": [[0, _HUGE, 0, 1]]}},
             {"sim": {"duration": 1e308}},  # duration/dt overflows to inf
-            # Input gains l/Ix and l/Iy that underflow to 0.
+            {"gains": {"roll": {"eps": 1e-200}}},  # eps * eps underflows to 0
+            # Input gains l/Ix, l/Iy and 1/Iz that underflow to 0 or overflow to inf.
             {"params": {"l": 5e-324, "Ix": 10.0}},
             {"params": {"l": 5e-324, "Iy": 10.0}},
+            {"params": {"Iz": 1e-310}},
+            {"params": {"l": 1e308, "Ix": 1e-300}},
             # Step or noise-draw counts above sys.maxsize, which no run can allocate.
             {"sim": {"dt": 1e-300, "duration": 1.0}},
             {"sim": {"duration": 0.01}, "disturbances": {"roll": {
@@ -180,18 +220,17 @@ class TestValidationErrors:
             {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
                 "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-30,
                 "hold": 0.005}}},
-            # A noise scale that overflows: high - low.
+            # Noise scales that overflow: high - low, and the variance power / inner_dt.
             {"sim": {"duration": 0.01}, "disturbances": {"pitch": {
                 "type": "noise", "kind": "uniform", "low": -1e308, "high": 1e308,
+                "hold": 0.005}}},
+            {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
+                "type": "noise", "kind": "band_limited", "power": 1e308, "inner_dt": 1e-3,
                 "hold": 0.005}}},
             # A kind tag only on noise, and noise only with one.
             {"disturbances": {"y": {"type": "step", "value": 1, "onset": 0, "kind": "gaussian"}}},
             {"disturbances": {"roll": {"type": "noise", "sigma": 0.1, "hold": 1.0}}},
         ],
-        # Fixed ids, so that deleting a row renames no other case.
-        ids=[f"raw{i}" if i != 18 else "not an object" for i in (
-            5, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 22, 24, 25, 26, 27, 28, 48, 49, 50, 51,
-            52, 55, 57, 59, 60, 62, 63, 66, 67, 68, 69, 70, 72, 73)],
     )
     def test_rejected(self, raw):
         with pytest.raises(ScenarioError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtrack import DenominatorTooSmallError, QuadrotorParams
+from quadtrack import DenominatorTooSmallError, NonFiniteError, QuadrotorParams
 from quadtrack import vehicle
 from quadtrack.vehicle import (
     acceleration_from_attitude,
@@ -97,6 +97,16 @@ class TestStateDerivative:
             want = np.array([row for pair in zip(state[1::2], accel) for row in pair])
             assert np.asarray(ds).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["state", "inputs", "disturbance"])
+    def test_non_finite_message_names_the_value(self, where, bad):
+        args = {"state": level_state(), "inputs": [PARAMS.m * PARAMS.g, 0.0, 0.0, 0.0],
+                "disturbance": [0.0] * 6}
+        args[where][1] = bad
+        with pytest.raises(NonFiniteError) as exc:
+            state_derivative(PARAMS, args["state"], args["inputs"], 0.0, args["disturbance"])
+        assert str(exc.value) == f"non-finite {where} entry 1: {bad!r}"
+
     def test_rejects_negative_thrust(self):
         with pytest.raises(ValueError):
             state_derivative(PARAMS, level_state(), (-1.0, 0.0, 0.0, 0.0), 0.0)
@@ -179,6 +189,16 @@ class TestMixing:
         # Torque demand far beyond the thrust budget forces negative squares.
         res = mix_inputs_to_rotor_speeds(PARAMS, (4.0 * PARAMS.b, 100.0, 0.0, 0.0))
         assert res.clamped
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NonFiniteError):
+            mix_inputs_to_rotor_speeds(PARAMS, (math.nan, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_message_names_the_value(self, bad):
+        with pytest.raises(NonFiniteError) as exc:
+            mix_inputs_to_rotor_speeds(PARAMS, (1.0, 0.0, bad, 0.0))
+        assert str(exc.value) == f"non-finite inputs entry 2: {bad!r}"
 
     @pytest.mark.parametrize("uphi, utheta, speeds", [
         (2.0, 0.0, (0.0, 0.0, 0.0, 1.0)),   # rotor 2 wants a square of -1
@@ -275,7 +295,14 @@ class TestThrustAttitudeExtraction:
             extract_thrust_and_attitude(PARAMS, 1.0, 1.0, -PARAMS.g + 0.05, 0.0)
 
 
-class TestParamsFields:
+class TestParamsValidation:
+    @pytest.mark.parametrize("field", ["m", "l", "b", "d", "Ix", "Iy", "Iz", "Ir", "g"])
+    def test_rejects_nonpositive(self, field):
+        with pytest.raises(ValueError):
+            QuadrotorParams(**{field: 0.0})
+        with pytest.raises(ValueError):
+            QuadrotorParams(**{field: -1.0})
+
     def test_holds_only_airframe_constants(self):
         # Every field is a constant with the range "> 0"; a run setting belongs on Scenario.
         assert {f.name for f in dataclasses.fields(QuadrotorParams)} == set(vehicle._RANGES)

@@ -23,17 +23,6 @@ def _bits(x):
 
 
 class TestChannelErrors:
-    def test_perfect_tracking(self):
-        xi1, xi2, nu = channel_errors(100.0, 0.2, 0.35, 0.2, 0.3, 0.05)
-        assert xi1 == 0.0
-        assert xi2 == pytest.approx(0.0)
-        assert nu == 0.3
-
-    def test_output_error(self):
-        xi1, _, nu = channel_errors(1.0, 0.1, 0.0, 0.0, 0.0, 0.0)
-        assert xi1 == pytest.approx(0.1)
-        assert nu == pytest.approx(-0.1)
-
     def test_definitions_consistent(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

@@ -9,7 +9,6 @@ from quadtrack.channel import (
     do_estimate,
     first_order_filter_derivative,
     hgo_derivative,
-    position_virtual_control,
 )
 from support import rk4_trajectory
 
@@ -115,17 +114,6 @@ class TestFirstOrderFilter:
         exact = [1.0 - math.exp(-(i + 1) * DT / tau) for i in range(2000)]
         assert np.all(np.diff(sigma) > 0.0)
         assert sigma[1:] == pytest.approx(exact, abs=1e-9)  # O(dt^4) accuracy
-
-
-class TestVirtualControlLaw:
-    def test_zero(self):
-        assert position_virtual_control(5.0, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
-
-    def test_rate_error_gain(self):
-        assert position_virtual_control(5.0, 0.0, 0.2, 0.0, 0.0, 0.0) == pytest.approx(-1.0)
-
-    def test_pure_disturbance_cancellation(self):
-        assert position_virtual_control(5.0, 0.0, 0.0, 0.0, 0.0, 0.5) == pytest.approx(-0.5)
 
 
 class TestDisturbanceObserver:

@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from quadtrack import (
     CHANNELS,
     COLUMNS,
+    AngleGuardError,
     Metrics,
     NonFiniteError,
     QuadrotorParams,
@@ -30,7 +31,6 @@ from quadtrack import (
     read_trace,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     write_summary,
     write_trace,
 )
@@ -38,6 +38,7 @@ from quadtrack import engine, traceformat
 from quadtrack.channel import do_derivative, hgo_derivative
 from quadtrack.engine import PLANT_DIM, RIG_SIZE, STATE_DIM, ClosedLoop, rk4_step
 from quadtrack.vehicle import (
+    ANGLE_LIMIT,
     acceleration_from_attitude,
     attitude_coupling,
     attitude_input_gain,
@@ -118,8 +119,7 @@ stock_and_held_noise = pytest.mark.parametrize("sc", [
 def hover_scenario(duration=0.2):
     return scenario_from_dict({
         "trajectory": {"type": "waypoints", "points": [[0.0, 0.5, -0.5, 1.0]]},
-        "disturbances": {ch: {"type": "none"} for ch in
-                         ("roll", "pitch", "yaw", "x", "y", "z")},
+        "disturbances": dict.fromkeys(CHANNELS, {"type": "none"}),
         "initial_state": [0.0] * 6 + [0.5, 0.0, -0.5, 0.0, 1.0, 0.0],
         "sim": {"duration": duration},
     })
@@ -136,18 +136,27 @@ class TestClosedLoopDerivative:
         a = rk4_trajectory(loop.derivative, a, 200, sc.dt)[-1].tolist()
         assert np.all(np.abs(loop.derivative(0.2, a)[:12]) < 1e-6)
 
+    def test_oracle_start_has_a_zero_disturbance_estimate(self):
+        # gamma(0) = -lam * rate(0), so dhat = gamma + lam * rate is 0.0 at t = 0 on every
+        # channel, whatever the initial rates (initial_state's docstring).
+        state = (0.1, 0.3, -0.1, -0.2, 0.0, 0.5, 0.0, 2.0, 0.0, -1.0, 0.0, 0.7)
+        loop = ClosedLoop(dataclasses.replace(Scenario(), true_state_feedback=True,
+                                              initial_state=state))
+        _, row = loop.signals(0.0, loop.initial_state())
+        assert [v for c, v in zip(COLUMNS, row) if c.startswith("dhat_")] == [0.0] * 6
+
+    def test_angle_guard_fires_at_the_limit(self):
+        loop = ClosedLoop(Scenario())
+        a = loop.initial_state()
+        a[0] = ANGLE_LIMIT
+        with pytest.raises(AngleGuardError):
+            loop.derivative(0.0, a)
+
     def test_position_do_toggle_is_transparent_when_estimate_is_zero(self):
         # dhat = gamma + lam*xhat2 vanishes on this state, so removing the
         # compensation term cannot change any derivative entry.
         sc_on = hover_scenario()
-        sc_off = scenario_from_dict({
-            **{"toggles": {"position_do": False}},
-            "trajectory": scenario_to_dict(sc_on)["trajectory"],
-            "disturbances": {ch: {"type": "none"} for ch in
-                             ("roll", "pitch", "yaw", "x", "y", "z")},
-            "initial_state": list(sc_on.initial_state),
-            "sim": {"duration": 0.2},
-        })
+        sc_off = dataclasses.replace(sc_on, position_do=False)
         a = np.asarray(ClosedLoop(sc_on).initial_state())
         rng = np.random.default_rng(31)
         a[:12] += rng.normal(0.0, 0.05, 12)
@@ -215,8 +224,7 @@ class TestClosedLoopDerivative:
         # (a' - a)/dt agrees with the midpoint derivative to O(dt^2) on a
         # smooth segment (early transient, no disturbances, no sign flips).
         sc = scenario_from_dict({
-            "disturbances": {ch: {"type": "none"} for ch in
-                             ("roll", "pitch", "yaw", "x", "y", "z")},
+            "disturbances": dict.fromkeys(CHANNELS, {"type": "none"}),
             "sim": {"duration": 1.0},
         })
         loop = ClosedLoop(sc)
@@ -481,6 +489,8 @@ class TestComputeRmse:
         m = compute_rmse(log, (0.0, 4.9))
         assert m.tracking_rmse["z"] == 0.0
         assert m.settle_time["z"] == 0.0
+        # settled from the first sample in the window, not from the window's start
+        assert compute_rmse(log, (0.05, 4.9)).settle_time["z"] == 0.1
 
     def test_alternating_unit_error(self):
         log = synthetic_log(e_y=np.array([1.0, -1.0] * 50))

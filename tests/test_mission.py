@@ -62,6 +62,14 @@ class TestStockMission:
             err = log.column(xhat)[sel] - log.column(x)[sel]
             assert np.sqrt(np.mean(err ** 2)) < 0.05
 
+    @pytest.mark.parametrize("column, bound", [("phi_des", 0.3), ("theta_des", 0.15), ("Uz", 8.5)])
+    def test_commands_stay_inside_the_stock_reach(self, default_run, column, bound):
+        # Measured: |phi_des| <= 0.2840 and |theta_des| <= 0.1258 rad, Uz + g >= 8.828 m/s^2.
+        # A limit on the tilt or on the vertical command past this reach leaves the run as it is.
+        sc, (log, _) = default_run
+        v = log.column(column)
+        assert (v + sc.params.g).min() > bound if column == "Uz" else np.abs(v).max() < bound
+
 
 BENCH = Path(__file__).resolve().parent.parent / "quadbench"
 
@@ -164,3 +172,46 @@ class TestTimeStepRobustness:
         for ch in ("roll", "pitch", "yaw"):
             rel = abs(m1[ch] - m2[ch]) / m2[ch]
             assert rel < 0.01 or abs(m1[ch] - m2[ch]) < 5e-4
+
+
+def rk4_reach(roots):
+    """The largest c with |R(c r)| <= 1 at every root r, by bisection, where R(z) = 1 + z +
+    z^2/2 + z^3/6 + z^4/24 is RK4's amplification factor."""
+    lo, hi = 0.0, 10.0
+    for _ in range(60):
+        c = 0.5 * (lo + hi)
+        if all(abs(sum((c * r) ** j / math.factorial(j) for j in range(5))) <= 1.0 for r in roots):
+            lo = c
+        else:
+            hi = c
+    return lo
+
+
+class TestRk4StabilityBound:
+    # A fixed step is stable while dt * s stays in RK4's region for each rig-local mode s: the
+    # HGO's, the roots of r^2 + beta1 r + beta2 over eps (Khalil & Praly, IJRNC 2014), the
+    # lag's -1/tau and the DO's -lam.  A 1 s stock run completes with the gain 5% inside that
+    # bound and aborts 5% outside it, on the angle guard (attitude) or the free-fall guard
+    # (position), neither of which names the gain.
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    @pytest.mark.parametrize("ch, name, beta1, beta2", [
+        *((ch, name, 1.0, 2.0) for ch in CHANNELS for name in ("eps", "tau", "lam")),
+        *(("z", "eps", b1, b2) for b1, b2 in ((3.0, 2.0), (1.0, 0.2), (2.0, 1.0)))])
+    def test_a_gain_past_the_bound_aborts(self, ch, name, beta1, beta2, inside):
+        dt = 1e-3
+        c = rk4_reach(np.roots([1.0, beta1, beta2]) if name == "eps" else [-1.0])
+        bound = c / dt if name == "lam" else dt / c
+        # eps and tau are stable above their bound, lam below it.
+        value = bound * (1.05 if inside is (name != "lam") else 0.95)
+        _, metrics = run_scenario(scenario_from_dict({
+            "gains": {ch: {name: value, "beta1": beta1, "beta2": beta2}},
+            "sim": {"dt": dt, "duration": 1.0}}))
+        assert metrics.completed is inside
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_a_step_past_the_bound_aborts(self, inside):
+        # Roll eps 0.002 allows dt up to 3.904e-3; 250 steps either side of it.
+        dt = 0.002 * rk4_reach(np.roots([1.0, 1.0, 2.0])) * (0.95 if inside else 1.05)
+        _, metrics = run_scenario(scenario_from_dict({
+            "gains": {"roll": {"eps": 0.002}}, "sim": {"dt": dt, "duration": 250 * dt}}))
+        assert metrics.completed is inside

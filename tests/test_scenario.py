@@ -33,6 +33,7 @@ from quadtrack import (
 )
 from quadtrack.disturbances import make_generator, noise_draw_size
 from quadtrack.scenario import reference_trajectory, waypoint_trajectory
+from quadtrack.vehicle import ANGLE_LIMIT
 
 
 class TestDefaults:
@@ -252,6 +253,7 @@ class TestValidationErrors:
         {"dt": 0.02}, {"waypoints": ((1, 0, 0, 1), (0, 1, 1, 1))},
         {"gains": {ch: g for ch, g in Scenario().gains.items() if ch != "z"}},
         {"disturbances": {ch: d for ch, d in Scenario().disturbances.items() if ch != "x"}},
+        {"initial_state": (ANGLE_LIMIT,) + (0.0,) * 11},  # the angle guard's own bound
     ])
     def test_construction_validates(self, change):
         with pytest.raises(ScenarioError):
@@ -458,6 +460,16 @@ class TestReferenceTrajectory:
             assert reference_trajectory(t)[2] == pytest.approx(1.0 + 0.1 * t, rel=1e-15)
 
 
+def _interp(table, t):
+    """np.interp on each axis of a (t, x, y, z) table."""
+    return tuple(float(np.interp(t, table[:, 0], table[:, k])) for k in (1, 2, 3))
+
+
+def _bits(values):
+    """The bit patterns of a tuple of floats, so that -0.0 and 0.0 differ."""
+    return np.array(values, dtype=float).tobytes()
+
+
 class TestWaypointTrajectory:
     def test_linear_interpolation_and_end_hold(self):
         traj = waypoint_trajectory([[0.0, 0.0, 0.0, 1.0], [10.0, 2.0, -4.0, 3.0]])
@@ -480,8 +492,14 @@ class TestWaypointTrajectory:
                                      min_size=1, max_size=20))
         traj = waypoint_trajectory(table.tolist())
         for t in queries:
-            want = tuple(float(np.interp(t, table[:, 0], table[:, k])) for k in (1, 2, 3))
-            assert traj(t) == want, t
+            assert _bits(traj(t)) == _bits(_interp(table, t)), t
+
+    def test_keeps_a_signed_zero_at_a_waypoint(self):
+        # np.interp returns the waypoint itself at its time; on the rising segment after it,
+        # slope * 0.0 + -0.0 would give +0.0.
+        table = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -0.0, -0.0, -0.0], [2.0, 1.0, 1.0, 1.0]])
+        assert _bits(waypoint_trajectory(table.tolist())(1.0)) == _bits(_interp(table, 1.0))
+        assert _bits(_interp(table, 1.0)) == _bits((-0.0,) * 3)
 
     @pytest.mark.parametrize("rows", [
         # the time span overflows (np.interp's first try gives 0 * inf = NaN)

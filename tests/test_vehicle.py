@@ -293,6 +293,11 @@ class TestThrustAttitudeExtraction:
             extract_thrust_and_attitude(PARAMS, 0.0, 0.0, -PARAMS.g, 0.0)
         with pytest.raises(DenominatorTooSmallError):
             extract_thrust_and_attitude(PARAMS, 1.0, 1.0, -PARAMS.g + 0.05, 0.0)
+        # Uz + g == 0.1, the threshold, passes; the next float down does not.
+        params = QuadrotorParams(g=0.2)
+        assert extract_thrust_and_attitude(params, 0.0, 0.0, -0.1, 0.0)[3] > 0.0
+        with pytest.raises(DenominatorTooSmallError):
+            extract_thrust_and_attitude(params, 0.0, 0.0, math.nextafter(-0.1, -1.0), 0.0)
 
 
 class TestParamsValidation:

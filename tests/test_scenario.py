@@ -133,106 +133,106 @@ _HUGE = 10 ** 400  # a JSON integer beyond the float range
 _BOOL_STATE = [0.0] * 6 + [True] + [0.0] * 5
 
 
+_REJECTED = {
+    "raw0": {"sim": {"dt": 0.0}},
+    "raw1": {"sim": {"dt": 0.02}},
+    "raw2": {"sim": {"duration": -1.0}},
+    "raw3": {"sim": {"seed": -1}},
+    "raw4": {"sim": {"decimation": 0}},
+    "raw5": {"sim": {"bogus": 1}},
+    "raw6": {"gains": {"roll": {"p": -1.0}}},
+    "raw7": {"gains": {"roll": {"nope": 1.0}}},
+    "raw8": {"gains": {"diagonal": {"p": 1.0}}},
+    "raw9": {"params": {"m": -0.1}},
+    "raw10": {"params": {"whatever": 2}},
+    "raw11": {"disturbances": {"x": {"type": "mystery"}}},
+    "raw12": {"disturbances": {"sideways": {"type": "none"}}},
+    "raw13": {"trajectory": {"type": "parabola"}},
+    "raw14": {"trajectory": {"type": "waypoints"}},
+    "raw15": {"initial_state": [0.0] * 11},
+    "raw16": {"initial_state": [1.6] + [0.0] * 11},
+    "raw17": {"unknown_section": {}},
+    "not an object": "not an object",
+    "raw19": {"sim": {"dt": "0.001"}},
+    "raw20": {"psi_des": "x"},
+    "raw21": {"initial_state": 5},
+    "raw22": {"trajectory": "helix"},
+    "raw23": {"disturbances": {"x": {"type": "sinusoid", "amplitude": "1", "omega": 0.1}}},
+    "raw24": {"trajectory": {"type": "waypoints", "points": [[0, 1, 2]]}},
+    "raw25": {"trajectory": {"type": "waypoints", "points": [[1, 0, 0, 1], [0, 1, 1, 1]]}},
+    "raw26": {"params": {"Im": 1e-5}},
+    "raw27": {"toggles": {"dz_hold_after_end": True}},
+    "raw28": {"sim": {"duration": 0.0105}},
+    # not finite
+    "raw29": {"sim": {"dt": math.nan}},
+    "raw30": {"sim": {"duration": math.inf}},
+    "raw31": {"psi_des": math.nan},
+    "raw32": {"params": {"Ix": math.inf}},
+    "raw33": {"params": {"fixed_residual_speed": math.nan}},
+    "raw34": {"gains": {"z": {"beta2": math.inf}}},
+    "raw35": {"disturbances": {"x": {"type": "sinusoid", "amplitude": 1.0, "omega": math.nan}}},
+    "raw36": {"disturbances": {"roll": {**_GAUSSIAN, "hold": math.inf}}},
+    # wrong exact types: booleans are not numbers, strings not booleans
+    "raw37": {"toggles": {"position_do": "no"}},
+    "raw38": {"sim": {"seed": True}},
+    "raw39": {"sim": {"decimation": True}},
+    "raw40": {"disturbances": {"z": {"type": "ramp", "offset": 0.1, "slope": 0.01, "end": 100.0,
+                            "hold_after": "no"}}},
+    "raw41": {"disturbances": {"roll": {**_GAUSSIAN, "seed": True}}},
+    "raw42": {"params": {"m": True}},
+    "raw43": {"gains": {"roll": {"p": True}}},
+    "raw44": {"params": {"fixed_residual_speed": True}},
+    "raw45": {"disturbances": {"roll": {**_GAUSSIAN, "sigma": True}}},
+    "raw46": {"trajectory": {"type": "waypoints", "points": [[0, True, 2, 3]]}},
+    "raw47": {"trajectory": {"type": "waypoints", "points": [["0", "1", "2", "3"]]}},
+    "raw48": {"disturbances": {"x": {"type": ["none"]}}},
+    # unknown fields in disturbances and trajectories
+    "raw49": {"disturbances": {"x": {"type": "sinusoid", "amplitude": 1.0, "omega": 0.1,
+                            "phse": 0.5}}},
+    "raw50": {"disturbances": {"roll": {**_GAUSSIAN, "sgima": 0.2}}},
+    "raw51": {"trajectory": {"type": "helix", "points": [[0, 0, 0, 1]]}},
+    "raw52": {"trajectory": {"type": "waypoints", "points": [[0, 0, 0, 1]], "speed": 2.0}},
+    # integers too large for a float
+    "raw53": {"sim": {"duration": _HUGE}},
+    "raw54": {"gains": {"roll": {"k": _HUGE}}},
+    "raw55": {"params": {"m": _HUGE}},
+    "raw56": {"psi_des": _HUGE},
+    "raw57": {"initial_state": [_HUGE] + [0.0] * 11},
+    "raw58": {"disturbances": {"x": {"type": "step", "value": _HUGE, "onset": 1.0}}},
+    "raw59": {"trajectory": {"type": "waypoints", "points": [[0, _HUGE, 0, 1]]}},
+    "raw60": {"sim": {"duration": 1e308}},  # duration/dt overflows to inf
+    "raw61": {"gains": {"roll": {"eps": 1e-200}}},  # eps * eps underflows to 0
+    # Input gains l/Ix, l/Iy and 1/Iz that underflow to 0 or overflow to inf.
+    "raw62": {"params": {"l": 5e-324, "Ix": 10.0}},
+    "raw63": {"params": {"l": 5e-324, "Iy": 10.0}},
+    "raw64": {"params": {"Iz": 1e-310}},
+    "raw65": {"params": {"l": 1e308, "Ix": 1e-300}},
+    # Step or noise-draw counts above sys.maxsize, which no run can allocate.
+    "raw66": {"sim": {"dt": 1e-300, "duration": 1.0}},
+    "raw67": {"sim": {"duration": 0.01}, "disturbances": {"roll": {
+        "type": "noise", "kind": "gaussian", "sigma": 0.1, "hold": 1e-300}}},
+    # inner_dt draws run to the last hold boundary the run reads, here at 0.01 s.
+    "raw68": {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
+        "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-300,
+        "hold": 0.005}}},
+    "raw69": {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
+        "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-30,
+        "hold": 0.005}}},
+    # Noise scales that overflow: high - low, and the variance power / inner_dt.
+    "raw70": {"sim": {"duration": 0.01}, "disturbances": {"pitch": {
+        "type": "noise", "kind": "uniform", "low": -1e308, "high": 1e308,
+        "hold": 0.005}}},
+    "raw71": {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
+        "type": "noise", "kind": "band_limited", "power": 1e308, "inner_dt": 1e-3,
+        "hold": 0.005}}},
+    # A kind tag only on noise, and noise only with one.
+    "raw72": {"disturbances": {"y": {"type": "step", "value": 1, "onset": 0, "kind": "gaussian"}}},
+    "raw73": {"disturbances": {"roll": {"type": "noise", "sigma": 0.1, "hold": 1.0}}},
+}
+
+
 class TestValidationErrors:
-    @pytest.mark.parametrize(
-        "raw",
-        [
-            {"sim": {"dt": 0.0}},
-            {"sim": {"dt": 0.02}},
-            {"sim": {"duration": -1.0}},
-            {"sim": {"seed": -1}},
-            {"sim": {"decimation": 0}},
-            {"sim": {"bogus": 1}},
-            {"gains": {"roll": {"p": -1.0}}},
-            {"gains": {"roll": {"nope": 1.0}}},
-            {"gains": {"diagonal": {"p": 1.0}}},
-            {"params": {"m": -0.1}},
-            {"params": {"whatever": 2}},
-            {"disturbances": {"x": {"type": "mystery"}}},
-            {"disturbances": {"sideways": {"type": "none"}}},
-            {"trajectory": {"type": "parabola"}},
-            {"trajectory": {"type": "waypoints"}},
-            {"initial_state": [0.0] * 11},
-            {"initial_state": [1.6] + [0.0] * 11},
-            {"unknown_section": {}},
-            "not an object",
-            {"sim": {"dt": "0.001"}},
-            {"psi_des": "x"},
-            {"initial_state": 5},
-            {"trajectory": "helix"},
-            {"disturbances": {"x": {"type": "sinusoid", "amplitude": "1", "omega": 0.1}}},
-            {"trajectory": {"type": "waypoints", "points": [[0, 1, 2]]}},
-            {"trajectory": {"type": "waypoints", "points": [[1, 0, 0, 1], [0, 1, 1, 1]]}},
-            {"params": {"Im": 1e-5}},
-            {"toggles": {"dz_hold_after_end": True}},
-            {"sim": {"duration": 0.0105}},
-            # not finite
-            {"sim": {"dt": math.nan}},
-            {"sim": {"duration": math.inf}},
-            {"psi_des": math.nan},
-            {"params": {"Ix": math.inf}},
-            {"params": {"fixed_residual_speed": math.nan}},
-            {"gains": {"z": {"beta2": math.inf}}},
-            {"disturbances": {"x": {"type": "sinusoid", "amplitude": 1.0, "omega": math.nan}}},
-            {"disturbances": {"roll": {**_GAUSSIAN, "hold": math.inf}}},
-            # wrong exact types: booleans are not numbers, strings not booleans
-            {"toggles": {"position_do": "no"}},
-            {"sim": {"seed": True}},
-            {"sim": {"decimation": True}},
-            {"disturbances": {"z": {"type": "ramp", "offset": 0.1, "slope": 0.01, "end": 100.0,
-                                    "hold_after": "no"}}},
-            {"disturbances": {"roll": {**_GAUSSIAN, "seed": True}}},
-            {"params": {"m": True}},
-            {"gains": {"roll": {"p": True}}},
-            {"params": {"fixed_residual_speed": True}},
-            {"disturbances": {"roll": {**_GAUSSIAN, "sigma": True}}},
-            {"trajectory": {"type": "waypoints", "points": [[0, True, 2, 3]]}},
-            {"trajectory": {"type": "waypoints", "points": [["0", "1", "2", "3"]]}},
-            {"disturbances": {"x": {"type": ["none"]}}},
-            # unknown fields in disturbances and trajectories
-            {"disturbances": {"x": {"type": "sinusoid", "amplitude": 1.0, "omega": 0.1,
-                                    "phse": 0.5}}},
-            {"disturbances": {"roll": {**_GAUSSIAN, "sgima": 0.2}}},
-            {"trajectory": {"type": "helix", "points": [[0, 0, 0, 1]]}},
-            {"trajectory": {"type": "waypoints", "points": [[0, 0, 0, 1]], "speed": 2.0}},
-            # integers too large for a float
-            {"sim": {"duration": _HUGE}},
-            {"gains": {"roll": {"k": _HUGE}}},
-            {"params": {"m": _HUGE}},
-            {"psi_des": _HUGE},
-            {"initial_state": [_HUGE] + [0.0] * 11},
-            {"disturbances": {"x": {"type": "step", "value": _HUGE, "onset": 1.0}}},
-            {"trajectory": {"type": "waypoints", "points": [[0, _HUGE, 0, 1]]}},
-            {"sim": {"duration": 1e308}},  # duration/dt overflows to inf
-            {"gains": {"roll": {"eps": 1e-200}}},  # eps * eps underflows to 0
-            # Input gains l/Ix, l/Iy and 1/Iz that underflow to 0 or overflow to inf.
-            {"params": {"l": 5e-324, "Ix": 10.0}},
-            {"params": {"l": 5e-324, "Iy": 10.0}},
-            {"params": {"Iz": 1e-310}},
-            {"params": {"l": 1e308, "Ix": 1e-300}},
-            # Step or noise-draw counts above sys.maxsize, which no run can allocate.
-            {"sim": {"dt": 1e-300, "duration": 1.0}},
-            {"sim": {"duration": 0.01}, "disturbances": {"roll": {
-                "type": "noise", "kind": "gaussian", "sigma": 0.1, "hold": 1e-300}}},
-            # inner_dt draws run to the last hold boundary the run reads, here at 0.01 s.
-            {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
-                "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-300,
-                "hold": 0.005}}},
-            {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
-                "type": "noise", "kind": "band_limited", "power": 1e-3, "inner_dt": 1e-30,
-                "hold": 0.005}}},
-            # Noise scales that overflow: high - low, and the variance power / inner_dt.
-            {"sim": {"duration": 0.01}, "disturbances": {"pitch": {
-                "type": "noise", "kind": "uniform", "low": -1e308, "high": 1e308,
-                "hold": 0.005}}},
-            {"sim": {"duration": 0.01}, "disturbances": {"yaw": {
-                "type": "noise", "kind": "band_limited", "power": 1e308, "inner_dt": 1e-3,
-                "hold": 0.005}}},
-            # A kind tag only on noise, and noise only with one.
-            {"disturbances": {"y": {"type": "step", "value": 1, "onset": 0, "kind": "gaussian"}}},
-            {"disturbances": {"roll": {"type": "noise", "sigma": 0.1, "hold": 1.0}}},
-        ],
-    )
+    @pytest.mark.parametrize("raw", _REJECTED.values(), ids=list(_REJECTED))
     def test_rejected(self, raw):
         with pytest.raises(ScenarioError):
             scenario_from_dict(raw)

@@ -134,11 +134,6 @@ _BOOL_STATE = [0.0] * 6 + [True] + [0.0] * 5
 
 
 _REJECTED = {
-    "raw0": {"sim": {"dt": 0.0}},
-    "raw1": {"sim": {"dt": 0.02}},
-    "raw2": {"sim": {"duration": -1.0}},
-    "raw3": {"sim": {"seed": -1}},
-    "raw4": {"sim": {"decimation": 0}},
     "raw5": {"sim": {"bogus": 1}},
     "raw6": {"gains": {"roll": {"p": -1.0}}},
     "raw7": {"gains": {"roll": {"nope": 1.0}}},
